@@ -3,10 +3,10 @@
 
 use racecheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use racecheck::sync::Arc;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::thread::JoinHandle;
 
-use oplog::{LogEntry, LogOp, OpLog, Payload};
+use oplog::{EntryHeader, LogEntry, LogOp, OpLog};
 use pmalloc::{ChunkManager, CoreAllocator, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion};
 
@@ -283,7 +283,12 @@ impl FlatStore {
             PmAddr(POOL_BASE),
             nchunks,
         ));
-        let index = Arc::new(VolatileIndex::build(cfg.index, cfg.ncores, cfg.dram_bytes)?);
+        let index = Arc::new(VolatileIndex::build(
+            cfg.index,
+            cfg.ncores,
+            cfg.dram_bytes,
+            0,
+        )?);
         let deleted = DeletedTable::new(cfg.ncores);
         let usage = UsageTable::new();
 
@@ -342,7 +347,6 @@ impl FlatStore {
         let clean = sb.is_clean();
         let ckpt_valid = sb.ckpt_valid();
 
-        let index = Arc::new(VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes)?);
         let deleted = DeletedTable::new(ncores);
         let usage = UsageTable::new();
 
@@ -367,88 +371,94 @@ impl FlatStore {
                 nchunks,
             ))
         };
-        let snapshot_loaded = if trust_bitmaps {
-            Self::load_snapshot(&pm, &sb, &mgr, &index, &deleted, &usage, ncores)?
-        } else {
-            false
+        // Paths 1 and 2 load the snapshot into an index built up front;
+        // path 3 builds its index after the scan, sized by what it found.
+        let snapshot_index = match sb.snapshot() {
+            Some((snap, _len)) if trust_bitmaps => {
+                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, 0)?;
+                Self::load_snapshot(&pm, snap, &mgr, &index, &deleted, &usage, ncores)?;
+                Some(index)
+            }
+            _ => None,
         };
 
         let mut logs = Vec::with_capacity(ncores);
-        if clean && snapshot_loaded {
-            // Path 1: structure-only chain walk.
-            for core in 0..ncores {
-                let desc = Superblock::log_desc(core);
-                let tail = PmAddr(pm.read_u64(desc + 8));
-                let log = OpLog::recover_with_from(Arc::clone(&mgr), desc, tail, |_, _| {})?;
-                logs.push(log);
-            }
-        } else if !clean && ckpt_valid && snapshot_loaded {
-            // Path 2: replay only the post-checkpoint suffix, incremental
-            // newest-version-wins against the snapshot state.
-            for core in 0..ncores {
-                let cursor = sb.read_ckpt_cursor(core);
-                let mut suffix: Vec<(LogEntry, PmAddr)> = Vec::new();
-                let log = OpLog::recover_with_from(
-                    Arc::clone(&mgr),
-                    Superblock::log_desc(core),
-                    cursor,
-                    |e, a| suffix.push((e, a)),
-                )?;
-                for (e, addr) in suffix {
-                    Self::apply_recovered(&index, &deleted, &usage, &mgr, ncores, e, addr)?;
+        let index = match snapshot_index {
+            Some(index) => {
+                for core in 0..ncores {
+                    let desc = Superblock::log_desc(core);
+                    // Path 1 resumes at the persisted tail (a structure-only
+                    // chain walk); path 2 replays the post-checkpoint
+                    // suffix, newest version wins against the snapshot.
+                    let from = if clean {
+                        PmAddr(pm.read_u64(desc + 8))
+                    } else {
+                        sb.read_ckpt_cursor(core)
+                    };
+                    let mut suffix = Vec::new();
+                    let log =
+                        OpLog::recover_headers(Arc::clone(&mgr), desc, Some(from), |h, a| {
+                            suffix.push((h, a));
+                        })?;
+                    for (h, addr) in suffix {
+                        Self::apply_recovered(&index, &deleted, &usage, &mgr, ncores, h, addr)?;
+                    }
+                    logs.push(log);
                 }
-                logs.push(log);
+                index
             }
-        } else {
-            // Path 3: full scan.
-            let mut all_entries: Vec<(LogEntry, PmAddr)> = Vec::new();
-            for core in 0..ncores {
-                let log =
-                    OpLog::recover_with(Arc::clone(&mgr), Superblock::log_desc(core), |e, a| {
-                        all_entries.push((e, a));
-                    })?;
-                logs.push(log);
-            }
-            for (_, addr) in &all_entries {
-                usage.note_appended(OpLog::chunk_of(*addr), 1);
-            }
-            let mut winners: HashMap<u64, (u32, usize)> = HashMap::new();
-            for (i, (e, _)) in all_entries.iter().enumerate() {
-                match winners.get(&e.key) {
-                    Some(&(v, _)) if v >= e.version => {
-                        usage.note_dead(all_entries[i].1);
-                    }
-                    Some(&(_, j)) => {
-                        usage.note_dead(all_entries[j].1);
-                        winners.insert(e.key, (e.version, i));
-                    }
-                    None => {
-                        winners.insert(e.key, (e.version, i));
-                    }
+            None => {
+                // Path 3: one pass over entry headers, no owned values.
+                let mut scanned: Vec<(EntryHeader, PmAddr)> = Vec::new();
+                for core in 0..ncores {
+                    let (mgr, desc) = (Arc::clone(&mgr), Superblock::log_desc(core));
+                    let collect = |h, a| scanned.push((h, a));
+                    logs.push(OpLog::recover_headers(mgr, desc, None, collect)?);
                 }
-            }
-            for (_, &(_, i)) in winners.iter() {
-                let (e, addr) = &all_entries[i];
-                let owner = core_of(e.key, ncores);
-                match e.op {
-                    LogOp::Put => {
-                        index.insert(owner, e.key, pack(e.version, *addr))?;
-                        if let Payload::Ptr(b) = e.payload {
-                            if !trust_bitmaps {
-                                mgr.mark_allocated(b).map_err(|err| {
+                // Newest version of each key wins; `newest` maps a key to
+                // (version, position in `scanned`) and is sized once.
+                let mut newest: HashMap<u64, (u32, usize)> = HashMap::with_capacity(scanned.len());
+                let mut stale = vec![false; scanned.len()];
+                let mut dead: HashMap<PmAddr, u32> = HashMap::new();
+                for (i, (h, _)) in scanned.iter().enumerate() {
+                    let loser = match newest.entry(h.key) {
+                        Entry::Vacant(slot) => {
+                            slot.insert((h.version, i));
+                            continue;
+                        }
+                        Entry::Occupied(won) if won.get().0 >= h.version => i,
+                        Entry::Occupied(mut won) => won.insert((h.version, i)).1,
+                    };
+                    stale[loser] = true;
+                    *dead.entry(OpLog::chunk_of(scanned[loser].1)).or_default() += 1;
+                }
+                for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
+                    let dead = dead.get(&chunk).copied().unwrap_or(0);
+                    usage.restore(chunk.offset(), u.total, dead);
+                }
+                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, newest.len())?;
+                for ((h, addr), _) in scanned.iter().zip(&stale).filter(|(_, stale)| !**stale) {
+                    let owner = core_of(h.key, ncores);
+                    match h.op {
+                        LogOp::Put => {
+                            index.insert(owner, h.key, pack(h.version, *addr))?;
+                            if let (Some(block), false) = (h.block(), trust_bitmaps) {
+                                mgr.mark_allocated(block).map_err(|err| {
                                     StoreError::corrupt_with("recovery mark failed", err)
                                 })?;
                             }
                         }
+                        LogOp::Delete => deleted.insert(owner, h.key, h.version, *addr),
+                        LogOp::Seal => {}
                     }
-                    LogOp::Delete => deleted.insert(owner, e.key, e.version, *addr),
-                    LogOp::Seal => {}
                 }
+                if !trust_bitmaps {
+                    mgr.finish_recovery();
+                }
+                index
             }
-            if !trust_bitmaps {
-                mgr.finish_recovery();
-            }
-        }
+        };
+        let index = Arc::new(index);
 
         // Reclaim reserved chunks unreachable from any log chain (a crash
         // between take_raw_chunk and linking leaks them).
@@ -478,12 +488,12 @@ impl FlatStore {
     /// newest version wins, equal versions re-anchor the same entry (its
     /// out-of-log block may postdate the persisted bitmaps).
     fn apply_recovered(
-        index: &Arc<VolatileIndex>,
-        deleted: &Arc<DeletedTable>,
-        usage: &Arc<UsageTable>,
-        mgr: &Arc<ChunkManager>,
+        index: &VolatileIndex,
+        deleted: &DeletedTable,
+        usage: &UsageTable,
+        mgr: &ChunkManager,
         ncores: usize,
-        e: LogEntry,
+        e: EntryHeader,
         addr: PmAddr,
     ) -> Result<(), StoreError> {
         usage.note_appended(OpLog::chunk_of(addr), 1);
@@ -495,7 +505,7 @@ impl FlatStore {
         match e.op {
             LogOp::Put => {
                 if newer {
-                    if let Payload::Ptr(b) = e.payload {
+                    if let Some(b) = e.block() {
                         // Tolerate already-set: the block may be covered by
                         // the checkpoint's persisted bitmaps.
                         let _ = mgr.mark_allocated(b);
@@ -509,7 +519,7 @@ impl FlatStore {
                 } else if cur_ver == Some(e.version) && cur.map(|c| unpack(c).1) == Some(addr) {
                     // The snapshot already references exactly this entry;
                     // just make sure its block is accounted for.
-                    if let Payload::Ptr(b) = e.payload {
+                    if let Some(b) = e.block() {
                         let _ = mgr.mark_allocated(b);
                     }
                 } else {
@@ -534,18 +544,17 @@ impl FlatStore {
         Ok(())
     }
 
+    /// Loads the snapshot anchored at `addr` into the (empty) volatile
+    /// state, then frees its block and clears the anchor.
     fn load_snapshot(
-        pm: &Arc<PmRegion>,
-        sb: &Superblock<'_>,
-        mgr: &Arc<ChunkManager>,
-        index: &Arc<VolatileIndex>,
-        deleted: &Arc<DeletedTable>,
-        usage: &Arc<UsageTable>,
+        pm: &PmRegion,
+        addr: PmAddr,
+        mgr: &ChunkManager,
+        index: &VolatileIndex,
+        deleted: &DeletedTable,
+        usage: &UsageTable,
         ncores: usize,
-    ) -> Result<bool, StoreError> {
-        let Some((addr, _len)) = sb.snapshot() else {
-            return Ok(false);
-        };
+    ) -> Result<(), StoreError> {
         let mut pos = addr;
         let read_u64 = |pos: &mut PmAddr| {
             let v = pm.read_u64(*pos);
@@ -580,8 +589,8 @@ impl FlatStore {
         }
         // The snapshot block is consumed; free it and clear the anchor.
         let _ = mgr.free_block(addr);
-        sb.set_snapshot(PmAddr::NULL, 0);
-        Ok(true)
+        Superblock::new(pm).set_snapshot(PmAddr::NULL, 0);
+        Ok(())
     }
 
     /// Serializes the volatile state (index, tombstones, chunk-liveness
@@ -986,6 +995,18 @@ impl FlatStore {
     /// Free chunks in the PM pool.
     pub fn free_chunks(&self) -> u32 {
         self.mgr.free_chunks()
+    }
+
+    /// Liveness accounting of every log chunk — `(chunk base, entries
+    /// appended, entries dead)`, sorted by address: the cleaner's victim
+    /// selection input. Recovery rebuilds exactly this table, which is
+    /// what the crash tests compare.
+    pub fn chunk_usage(&self) -> Vec<(PmAddr, u32, u32)> {
+        let mut usages = Vec::new();
+        self.usage
+            .for_each(&mut |chunk, total, dead| usages.push((PmAddr(chunk), total, dead)));
+        usages.sort_unstable();
+        usages
     }
 
     /// The underlying (simulated) PM region.

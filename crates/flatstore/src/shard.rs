@@ -368,23 +368,22 @@ impl Shard {
         }
     }
 
-    /// Current version and out-of-log block of `key`, for an update.
-    fn key_state(&self, key: u64) -> (u32, Option<PmAddr>) {
-        if let Some(packed) = self.index.get(self.core, key) {
-            let (ver, addr) = unpack(packed);
-            let old_block = match self.log.read_entry(addr) {
-                Ok(e) => match e.payload {
-                    Payload::Ptr(b) => Some(b),
-                    _ => None,
-                },
-                Err(_) => None,
-            };
-            (ver.wrapping_add(1) & VERSION_MASK, old_block)
-        } else if let Some((ver, _)) = self.deleted.get(self.core, key) {
-            (ver.wrapping_add(1) & VERSION_MASK, None)
-        } else {
-            (1, None)
-        }
+    /// The version the next update of `key` takes.
+    fn next_version(&self, key: u64) -> u32 {
+        let cur = match self.index.get(self.core, key) {
+            Some(packed) => unpack(packed).0,
+            None => match self.deleted.get(self.core, key) {
+                Some((ver, _)) => ver,
+                None => return 1,
+            },
+        };
+        cur.wrapping_add(1) & VERSION_MASK
+    }
+
+    /// The out-of-log block owned by the entry at `addr` (an address taken
+    /// from the index, so the header is trusted: no CRC, no value copy).
+    fn block_of(&self, addr: PmAddr) -> Option<PmAddr> {
+        self.log.read_header(addr).ok().and_then(|h| h.block())
     }
 
     /// Phase 1 (l-persist): allocate + persist the record if large, build
@@ -443,7 +442,7 @@ impl Shard {
         }
         let version = match self.pending_puts.get(&key) {
             Some(&(latest, _)) => latest.wrapping_add(1) & VERSION_MASK,
-            None => self.key_state(key).0,
+            None => self.next_version(key),
         };
         let entry = if value.len() <= INLINE_MAX {
             // The request's value is moved into the entry — no second copy.
@@ -504,13 +503,7 @@ impl Shard {
             return;
         };
         let (ver, addr) = unpack(packed);
-        let old_block = match self.log.read_entry(addr) {
-            Ok(e) => match e.payload {
-                Payload::Ptr(b) => Some(b),
-                _ => None,
-            },
-            Err(_) => None,
-        };
+        let old_block = self.block_of(addr);
         let version = ver.wrapping_add(1) & VERSION_MASK;
         let completion = Completion::new();
         self.conflicts.insert(key);
@@ -972,10 +965,8 @@ impl Shard {
                     // Superseded before it was applied: its entry (and any
                     // out-of-log block) is dead on arrival.
                     self.usage.note_dead(addr);
-                    if let Ok(e) = self.log.read_entry(addr) {
-                        if let Payload::Ptr(b) = e.payload {
-                            let _ = self.alloc.free(b);
-                        }
+                    if let Some(b) = self.block_of(addr) {
+                        let _ = self.alloc.free(b);
                     }
                     self.stats.puts.fetch_add(1, Ordering::Relaxed);
                     self.finish(
@@ -996,7 +987,11 @@ impl Shard {
                             let (_, old_addr) = unpack(old);
                             self.usage.note_dead(old_addr);
                             // Free the previous version's out-of-log block
-                            // (safe within the cleaner's grace period).
+                            // (safe within the cleaner's grace period). Still
+                            // a full decode, unlike `block_of`: the CPU it
+                            // costs per overwrite is what HB batches form
+                            // in — EXPERIMENTS.md, PR 13, "pm_write_amp
+                            // follows shard CPU time".
                             if let Ok(e) = self.log.read_entry(old_addr) {
                                 if let Payload::Ptr(b) = e.payload {
                                     let _ = self.alloc.free(b);

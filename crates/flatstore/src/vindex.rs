@@ -29,35 +29,43 @@ pub(crate) enum VolatileIndex {
 
 impl VolatileIndex {
     /// Builds the index for `kind` with a DRAM arena of `dram_bytes`
-    /// (per core for `Hash`).
-    pub fn build(kind: IndexKind, ncores: usize, dram_bytes: usize) -> Result<Self, StoreError> {
+    /// (per core for `Hash`), sized to bulk-load `expected_keys` keys
+    /// without a CCEH split (0: the smallest table, grown by splitting).
+    ///
+    /// The arenas are plain DRAM ([`PmRegion::dram_arena`]): committed on
+    /// first touch and free of the PM bookkeeping a volatile index never
+    /// reads. `Mode::Volatile` elides every flush.
+    pub fn build(
+        kind: IndexKind,
+        ncores: usize,
+        dram_bytes: usize,
+        expected_keys: usize,
+    ) -> Result<Self, StoreError> {
+        let arena = || Arc::new(PmRegion::dram_arena(dram_bytes));
         match kind {
             IndexKind::Hash => {
+                // Keys are hash-routed, so every core holds an even share.
+                let per_core = expected_keys.div_ceil(ncores);
+                let depth = Cceh::depth_for(per_core, dram_bytes as u64).max(2);
                 let mut shards = Vec::with_capacity(ncores);
                 for _ in 0..ncores {
-                    // Each core gets its own DRAM region (PmRegion used as
-                    // plain memory; Volatile mode elides every flush).
-                    let dram = Arc::new(PmRegion::new(dram_bytes));
                     shards.push(Mutex::new(Cceh::new(
-                        dram,
+                        arena(),
                         PmAddr(0),
                         dram_bytes as u64,
                         Mode::Volatile,
-                        2,
+                        depth,
                     )?));
                 }
                 Ok(VolatileIndex::PerCoreHash(shards))
             }
             IndexKind::Masstree => Ok(VolatileIndex::SharedMasstree(Masstree::new())),
-            IndexKind::FastFair => {
-                let dram = Arc::new(PmRegion::new(dram_bytes));
-                Ok(VolatileIndex::SharedTree(Mutex::new(FastFair::new(
-                    dram,
-                    PmAddr(0),
-                    dram_bytes as u64,
-                    Mode::Volatile,
-                )?)))
-            }
+            IndexKind::FastFair => Ok(VolatileIndex::SharedTree(Mutex::new(FastFair::new(
+                arena(),
+                PmAddr(0),
+                dram_bytes as u64,
+                Mode::Volatile,
+            )?))),
         }
     }
 

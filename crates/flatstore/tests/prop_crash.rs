@@ -3,8 +3,10 @@
 //! acknowledged state — for every prefix the strategy picks.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use flatstore::{Config, FlatStore};
+use flatstore::{core_of, Config, FlatStore};
+use pmem::{PmAddr, PmRegion};
 use proptest::prelude::*;
 use workloads::value_bytes;
 
@@ -25,15 +27,61 @@ fn script() -> impl Strategy<Value = (Vec<Cmd>, usize)> {
     })
 }
 
+const NCORES: usize = 2;
+
 fn small_cfg() -> Config {
     Config::builder()
         .pm_bytes(64 << 20)
         .dram_bytes(8 << 20)
-        .ncores(2)
-        .group_size(2)
+        .ncores(NCORES)
+        .group_size(NCORES)
         .crash_tracking(true)
         .build()
         .expect("valid test config")
+}
+
+type Model = HashMap<u64, Vec<u8>>;
+
+/// Applies `cmds` to both the store and the model. Values up to 256 B are
+/// inline log entries, longer ones out-of-log allocator blocks.
+fn apply(store: &FlatStore, model: &mut Model, cmds: &[Cmd]) -> Result<(), TestCaseError> {
+    for (i, cmd) in cmds.iter().enumerate() {
+        match cmd {
+            Cmd::Put { key, len } => {
+                let v = value_bytes(*key ^ i as u64, *len);
+                store.put(*key, &v).unwrap();
+                model.insert(*key, v);
+            }
+            Cmd::Delete { key } => {
+                let existed = store.delete(*key).unwrap();
+                prop_assert_eq!(existed, model.remove(key).is_some());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The store holds exactly the model: same length, same bytes, and the
+/// script's other keys absent.
+fn check_matches(store: &FlatStore, model: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(store.len(), model.len());
+    for (k, v) in model {
+        let got = store.get(*k).unwrap();
+        prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
+    }
+    for k in 0..60u64 {
+        if !model.contains_key(&k) {
+            prop_assert_eq!(store.get(k).unwrap(), None);
+        }
+    }
+    Ok(())
+}
+
+/// Kill, drop every unflushed byte, reopen through the bare-crash path.
+fn crash_and_open(store: FlatStore, cfg: &Config) -> FlatStore {
+    let pm: Arc<PmRegion> = store.kill();
+    pm.simulate_crash();
+    FlatStore::open(pm, cfg.clone()).unwrap()
 }
 
 proptest! {
@@ -46,39 +94,118 @@ proptest! {
     fn any_crash_point_recovers_acknowledged_state((cmds, crash_at) in script()) {
         let cfg = small_cfg();
         let store = FlatStore::create(cfg.clone()).unwrap();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for (i, cmd) in cmds.iter().enumerate().take(crash_at) {
-            match cmd {
-                Cmd::Put { key, len } => {
-                    let v = value_bytes(*key ^ i as u64, *len);
-                    store.put(*key, &v).unwrap();
-                    model.insert(*key, v);
-                }
-                Cmd::Delete { key } => {
-                    let existed = store.delete(*key).unwrap();
-                    prop_assert_eq!(existed, model.remove(key).is_some());
-                }
-            }
-        }
+        let mut model = Model::new();
+        apply(&store, &mut model, &cmds[..crash_at])?;
         // Every operation above was acknowledged (put/delete returned), so
         // all of it must survive the crash — nothing more, nothing less.
-        let pm = store.kill();
-        pm.simulate_crash();
-        let store = FlatStore::open(pm, cfg).unwrap();
-        prop_assert_eq!(store.len(), model.len());
-        for (k, v) in &model {
-            let got = store.get(*k).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-        }
-        // Keys the model never saw (or deleted) are absent.
-        for k in 0..60u64 {
-            if !model.contains_key(&k) {
-                prop_assert_eq!(store.get(k).unwrap(), None);
-            }
-        }
+        let store = crash_and_open(store, &cfg);
+        check_matches(&store, &model)?;
         // The recovered store accepts new writes.
         store.put(1_000, b"post-crash").unwrap();
         let got = store.get(1_000).unwrap();
         prop_assert_eq!(got.as_deref(), Some(&b"post-crash"[..]));
+    }
+
+    /// Recovery rebuilds the *whole* volatile state of the engine that
+    /// crashed, not just its key→value view: per-chunk liveness counts and
+    /// the free-chunk count equal the running engine's, and recovering the
+    /// recovered image again changes nothing.
+    #[test]
+    fn recovery_rebuilds_the_running_engines_accounting((cmds, _) in script()) {
+        let cfg = small_cfg();
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        let mut model = Model::new();
+        // One never-touched out-of-log value per (core, size class) the
+        // script can reach (record sizes 265..=608 B: the 512 B and 768 B
+        // classes). Recovery returns a class chunk whose every block died
+        // to the pool; the running engine never does. The anchors keep
+        // every class chunk populated, so `free_chunks` must match exactly.
+        let mut anchor = 1_000u64;
+        for core in 0..NCORES {
+            for len in [300usize, 600] {
+                while core_of(anchor, NCORES) != core {
+                    anchor += 1;
+                }
+                let v = value_bytes(anchor, len);
+                store.put(anchor, &v).unwrap();
+                model.insert(anchor, v);
+                anchor += 1;
+            }
+        }
+        apply(&store, &mut model, &cmds)?;
+        store.barrier();
+        let usage = store.chunk_usage();
+        let free = store.free_chunks();
+        // Not vacuous: every live key has at least one counted entry.
+        prop_assert!(usage.iter().map(|u| u.1 as usize).sum::<usize>() >= model.len());
+
+        let store = crash_and_open(store, &cfg);
+        check_matches(&store, &model)?;
+        prop_assert_eq!(store.chunk_usage(), usage.clone());
+        prop_assert_eq!(store.free_chunks(), free);
+
+        // A second crash with no operation in between is a fixed point.
+        let store = crash_and_open(store, &cfg);
+        check_matches(&store, &model)?;
+        prop_assert_eq!(store.chunk_usage(), usage);
+        prop_assert_eq!(store.free_chunks(), free);
+    }
+}
+
+/// A torn entry below the persisted tail (strict fences: a flushed line
+/// that lost the race with the power failure) is truncated by the
+/// header-only scan exactly as by the full decode: the entry is not
+/// replayed, the tail is pulled back to it, and the log keeps working.
+#[test]
+fn torn_tail_entry_truncates_under_strict_fences() {
+    for seed in 0..4u64 {
+        let cfg = Config::builder()
+            .pm_bytes(64 << 20)
+            .dram_bytes(8 << 20)
+            .ncores(NCORES)
+            .group_size(NCORES)
+            .crash_tracking(true)
+            .strict_fence_seed(Some(seed))
+            .build()
+            .expect("valid test config");
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        let keys = 200u64;
+        for k in 0..keys {
+            store.put(k, value_bytes(k ^ seed, 40)).unwrap();
+        }
+        store.barrier();
+        // The last entry of core 0's log (whichever key an HB leader put
+        // there) — every key was written once, so it is that key's only
+        // version.
+        let mut last = None;
+        store
+            .log_suffix(0, PmAddr::NULL, |e, addr| last = Some((e.key, addr)))
+            .unwrap();
+        let (torn_key, torn_at) = last.expect("core 0 led at least one batch");
+
+        let pm = store.kill();
+        // Tear it in place: one value byte flipped and made durable.
+        let b = pm.read_u8(torn_at + 13);
+        pm.write_u8(torn_at + 13, b ^ 0x40);
+        pm.persist(torn_at + 13, 1);
+        pm.simulate_crash();
+
+        let store = FlatStore::open(pm, cfg.clone()).unwrap();
+        assert_eq!(store.len() as u64, keys - 1, "seed {seed}");
+        for k in 0..keys {
+            let expect = (k != torn_key).then(|| value_bytes(k ^ seed, 40));
+            assert_eq!(store.get(k).unwrap(), expect, "seed {seed} key {k}");
+        }
+        let tail = store.log_suffix(0, PmAddr::NULL, |_, _| {}).unwrap();
+        assert_eq!(tail, torn_at, "seed {seed}: tail not pulled back");
+
+        // Appends overwrite the garbage, and survive the next crash.
+        store.put(torn_key, b"rewritten").unwrap();
+        let store = crash_and_open(store, &cfg);
+        assert_eq!(store.len() as u64, keys);
+        assert_eq!(
+            store.get(torn_key).unwrap().as_deref(),
+            Some(&b"rewritten"[..])
+        );
     }
 }

@@ -104,6 +104,19 @@ impl Cceh {
         })
     }
 
+    /// The directory depth at which `keys` keys bulk-load without a split:
+    /// the smallest one that leaves every segment at most a quarter full
+    /// (256 of its 1024 slots — at that load a 16-slot probe window
+    /// overflows about once in a thousand segments, and a split still
+    /// handles it), capped so the initial segments take at most half of an
+    /// arena of `arena_len` bytes.
+    pub fn depth_for(keys: usize, arena_len: u64) -> u32 {
+        let quarter_full = BUCKETS_PER_SEG as usize;
+        let want = keys.div_ceil(quarter_full).next_power_of_two().ilog2();
+        let fit = (arena_len / SEG_LEN / 2).max(1).ilog2();
+        want.min(fit).min(MAX_GLOBAL_DEPTH)
+    }
+
     fn fresh_segment(store: &mut Store) -> Result<PmAddr, IndexError> {
         let addr = store.alloc(SEG_LEN)?;
         store.pm.fill(addr, SEG_LEN as usize, 0xFF); // all-EMPTY slots
@@ -155,12 +168,14 @@ impl Cceh {
     /// Visits every live `(key, value)` pair (unordered). Used by
     /// FlatStore's clean-shutdown index snapshot.
     pub fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for (seg_id, seg) in self.segments.iter().enumerate() {
-            // Skip segments no longer referenced by the directory (there
-            // are none in this implementation, but be defensive).
-            if !self.directory.contains(&(seg_id as u32)) {
+        // Walk the directory, visiting each segment the first time an
+        // entry references it (2^(global − local depth) entries share one).
+        let mut seen = vec![false; self.segments.len()];
+        for &seg_id in &self.directory {
+            if std::mem::replace(&mut seen[seg_id as usize], true) {
                 continue;
             }
+            let seg = &self.segments[seg_id as usize];
             for bucket in 0..BUCKETS_PER_SEG {
                 for s in 0..SLOTS_PER_BUCKET {
                     let a = Self::slot_addr(seg.addr, bucket, s);
@@ -351,6 +366,50 @@ mod tests {
             assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
         }
         assert!(idx.global_depth > 1, "splits must have happened");
+    }
+
+    #[test]
+    fn presized_bulk_load_does_not_split() {
+        let n = 100_000usize;
+        let arena = 64u64 << 20;
+        let depth = Cceh::depth_for(n, arena);
+        assert_eq!(depth, 9, "100 k keys / 256 per segment -> 512 segments");
+        let pm = Arc::new(PmRegion::dram_arena(arena as usize));
+        let mut idx = Cceh::new(pm, PmAddr(0), arena, Mode::Volatile, depth).unwrap();
+        for k in 0..n as u64 {
+            idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k).unwrap();
+        }
+        assert_eq!(idx.len(), n);
+        assert!(
+            idx.segments.len() <= (1 << depth) + 2,
+            "{} segments: the bulk load split",
+            idx.segments.len()
+        );
+        // for_each sees every key exactly once, shared directory entries
+        // or not.
+        let mut seen = 0usize;
+        idx.for_each(&mut |_, _| seen += 1);
+        assert_eq!(seen, n);
+        // A small arena caps the depth instead of failing the build.
+        assert_eq!(Cceh::depth_for(n, 1 << 20), 5);
+        assert_eq!(Cceh::depth_for(0, arena), 0);
+    }
+
+    #[test]
+    fn for_each_visits_split_segments_once() {
+        let mut idx = small();
+        let n = 20_000u64;
+        for k in 0..n {
+            idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k).unwrap();
+        }
+        let mut sum = 0u64;
+        let mut count = 0u64;
+        idx.for_each(&mut |_, v| {
+            sum += v;
+            count += 1;
+        });
+        assert_eq!(count, n);
+        assert_eq!(sum, n * (n - 1) / 2);
     }
 
     #[test]

@@ -67,6 +67,15 @@ fn crc8(bytes: &[u8], skip: usize) -> u8 {
     crc
 }
 
+/// The 20-bit version and the key out of an entry's first 11 bytes.
+fn version_and_key(raw: &[u8]) -> (u32, u64) {
+    let version = (raw[0] >> 4) as u32 | (u16::from_le_bytes([raw[1], raw[2]]) as u32) << 4;
+    // pmlint: allow(no-unwrap) — [3..11] is 8 bytes; every caller passes at
+    // least a 13-byte header.
+    let key = u64::from_le_bytes(raw[3..11].try_into().expect("8 bytes"));
+    (version, key)
+}
+
 /// Operation recorded by a log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogOp {
@@ -130,6 +139,168 @@ pub struct LogEntry {
     pub version: u32,
     /// The value location.
     pub payload: Payload,
+}
+
+/// The fixed-size fields of a log entry — everything but an inline value's
+/// bytes, in 24 bytes.
+///
+/// Recovery, the log cleaner and the update path decide on these fields
+/// alone (which version is newest, is the entry still referenced, does it
+/// own an out-of-log block), so they decode headers: no allocation, and
+/// the value is only copied ([`load`](Self::load)) for entries that
+/// survive.
+///
+/// # Example
+///
+/// ```
+/// use oplog::{EntryHeader, LogEntry, LogOp};
+/// use pmem::{PmAddr, PmRegion};
+///
+/// let pm = PmRegion::new(4096);
+/// let e = LogEntry::put_inline(42, 7, b"tiny".to_vec())?;
+/// let mut buf = Vec::new();
+/// e.encode_into(&mut buf);
+/// pm.write(PmAddr(64), &buf);
+///
+/// let h = EntryHeader::decode(&pm, PmAddr(64))?.expect("not padding");
+/// assert_eq!((h.op, h.key, h.version), (LogOp::Put, 42, 7));
+/// assert_eq!((h.block(), h.encoded_len()), (None, 17));
+/// assert_eq!(h.load(&pm, PmAddr(64)), e);
+/// # Ok::<(), oplog::LogError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryHeader {
+    /// Operation type.
+    pub op: LogOp,
+    /// The 8-byte key.
+    pub key: u64,
+    /// 20-bit per-key version.
+    pub version: u32,
+    /// The packed pointer field (`block >> 8`); 0 when the entry has none.
+    ptr: u32,
+    /// Encoded length in bytes.
+    len: u16,
+}
+
+impl EntryHeader {
+    /// Decodes the header of the entry at `addr`, verifying the entry's
+    /// CRC-8 (over a stack buffer — nothing is allocated). Accepts and
+    /// rejects exactly what [`LogEntry::decode`] does: `Ok(None)` for
+    /// padding (a zero op byte).
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::ChecksumMismatch`] on a torn entry, [`LogError::Corrupt`]
+    /// if the bytes do not decode.
+    pub fn decode(pm: &PmRegion, addr: PmAddr) -> Result<Option<EntryHeader>, LogError> {
+        Self::decode_at(pm, addr, true)
+    }
+
+    /// [`decode`](Self::decode) without the checksum, for an address that
+    /// is known to hold a validated entry — the volatile index only ever
+    /// references entries that were appended by this process or passed
+    /// recovery's CRC. Reads the 13–16 header bytes only.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::Corrupt`] if the bytes do not decode.
+    pub fn decode_trusted(pm: &PmRegion, addr: PmAddr) -> Result<Option<EntryHeader>, LogError> {
+        Self::decode_at(pm, addr, false)
+    }
+
+    fn decode_at(
+        pm: &PmRegion,
+        addr: PmAddr,
+        verify: bool,
+    ) -> Result<Option<EntryHeader>, LogError> {
+        let mut raw = [0u8; INLINE_HEADER_LEN + INLINE_MAX];
+        // The shortest entry (13 B header + 1 B value) is longer than this
+        // first read, so it never leaves the entry.
+        pm.read(addr, &mut raw[..INLINE_HEADER_LEN]);
+        let b0 = raw[0];
+        let Some(op) = LogOp::from_code(b0 & OP_MASK) else {
+            return Ok(None); // padding
+        };
+        let inline = op == LogOp::Put && (b0 >> EMD_SHIFT) & 0b11 == 1;
+        let (len, crc_off) = if inline {
+            let size = raw[INLINE_SIZE_OFF as usize] as usize + 1;
+            (INLINE_HEADER_LEN + size, INLINE_CRC_OFF)
+        } else {
+            (PTR_ENTRY_LEN, PTR_CRC_OFF)
+        };
+        if verify || !inline {
+            pm.read(
+                addr + INLINE_HEADER_LEN as u64,
+                &mut raw[INLINE_HEADER_LEN..len],
+            );
+        }
+        if verify && crc8(&raw[..len], crc_off) != raw[crc_off] {
+            return Err(LogError::ChecksumMismatch {
+                addr: addr.offset(),
+            });
+        }
+        if op == LogOp::Seal {
+            // As `LogEntry::decode`: a seal carries no fields.
+            return Ok(Some(EntryHeader {
+                op,
+                key: 0,
+                version: 0,
+                ptr: 0,
+                len: len as u16,
+            }));
+        }
+        let (version, key) = version_and_key(&raw);
+        let ptr = if op == LogOp::Put && !inline {
+            // pmlint: allow(no-unwrap) — fixed-width slice of a 269-byte array.
+            let packed = u32::from_le_bytes(raw[11..15].try_into().expect("4 bytes"));
+            if packed == 0 {
+                return Err(LogError::Corrupt {
+                    addr: addr.offset(),
+                });
+            }
+            packed
+        } else {
+            0
+        };
+        Ok(Some(EntryHeader {
+            op,
+            key,
+            version,
+            ptr,
+            len: len as u16,
+        }))
+    }
+
+    /// The out-of-log block a pointer Put references (`None` for inline
+    /// Puts, tombstones and seals).
+    pub fn block(&self) -> Option<PmAddr> {
+        (self.ptr != 0).then_some(PmAddr((self.ptr as u64) << 8))
+    }
+
+    /// Encoded size of the whole entry in bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Materialises the full entry whose header this is, copying an inline
+    /// value out of the log at `addr` (the address the header was decoded
+    /// from). No checksum: the header's decode already covered the bytes.
+    pub fn load(&self, pm: &PmRegion, addr: PmAddr) -> LogEntry {
+        let payload = match self.block() {
+            Some(block) => Payload::Ptr(block),
+            None if self.op == LogOp::Put => Payload::Inline(pm.read_vec(
+                addr + INLINE_HEADER_LEN as u64,
+                self.encoded_len() - INLINE_HEADER_LEN,
+            )),
+            None => Payload::None,
+        };
+        LogEntry {
+            op: self.op,
+            key: self.key,
+            version: self.version,
+            payload,
+        }
+    }
 }
 
 impl LogEntry {
@@ -256,12 +427,7 @@ impl LogEntry {
                 addr: addr.offset(),
             });
         }
-        let ver_lo = (b0 >> 4) as u32;
-        let ver_hi = u16::from_le_bytes([raw[1], raw[2]]) as u32;
-        let version = ver_lo | (ver_hi << 4);
-        // pmlint: allow(no-unwrap) — raw is at least 16 bytes, so [3..11]
-        // is 8 bytes.
-        let key = u64::from_le_bytes(raw[3..11].try_into().expect("8 bytes"));
+        let (version, key) = version_and_key(&raw);
         match op {
             LogOp::Seal => Ok(Some((LogEntry::seal(), PTR_ENTRY_LEN))),
             LogOp::Delete => Ok(Some((
@@ -399,6 +565,106 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every shape `encode_into` can produce: pointer Puts, tombstones,
+    /// the seal, and inline Puts from the shortest to the longest value.
+    fn every_entry_shape() -> Vec<LogEntry> {
+        let mut shapes = vec![
+            LogEntry::put_ptr(0xdead_beef_0042, 0x5_4321, PmAddr(0x1234_5600)),
+            LogEntry::put_ptr(0, 0, PmAddr(0x100)),
+            LogEntry::put_ptr(u64::MAX - 1, 0xF_FFFF, PmAddr(0xFF_FFFF_FF00)),
+            LogEntry::tombstone(7, 0xF_FFFF),
+            LogEntry::tombstone(0, 0),
+            LogEntry::seal(),
+        ];
+        for len in [1usize, 2, 3, 4, 7, 8, 52, 64, 255, 256] {
+            let value = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            shapes.push(LogEntry::put_inline(len as u64 * 31, len as u32, value).unwrap());
+        }
+        shapes
+    }
+
+    #[test]
+    fn header_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<EntryHeader>(), 24);
+    }
+
+    #[test]
+    fn header_decode_agrees_with_full_decode_on_every_shape() {
+        for e in every_entry_shape() {
+            let pm = PmRegion::new(4096);
+            let mut buf = Vec::new();
+            e.encode_into(&mut buf);
+            // Straddle a cacheline so both reads of the header are exercised.
+            let at = PmAddr(128 - 5);
+            pm.write(at, &buf);
+            let (full, len) = LogEntry::decode(&pm, at).unwrap().unwrap();
+            for h in [
+                EntryHeader::decode(&pm, at).unwrap().unwrap(),
+                EntryHeader::decode_trusted(&pm, at).unwrap().unwrap(),
+            ] {
+                assert_eq!((h.op, h.key, h.version), (full.op, full.key, full.version));
+                assert_eq!(h.encoded_len(), len, "{e:?}");
+                let block = match &full.payload {
+                    Payload::Ptr(b) => Some(*b),
+                    _ => None,
+                };
+                assert_eq!(h.block(), block, "{e:?}");
+                assert_eq!(h.load(&pm, at), full, "{e:?}");
+            }
+        }
+        let pm = PmRegion::new(4096);
+        assert_eq!(EntryHeader::decode(&pm, PmAddr(0)), Ok(None), "padding");
+        assert_eq!(EntryHeader::decode_trusted(&pm, PmAddr(0)), Ok(None));
+    }
+
+    #[test]
+    fn header_decode_rejects_what_full_decode_rejects() {
+        // Every single-bit corruption of every byte of every shape: the two
+        // decoders must return the same verdict (the same error, or — when
+        // the flip turns the op code into padding or leaves a CRC-valid
+        // entry — the same fields).
+        for e in every_entry_shape() {
+            let mut buf = Vec::new();
+            e.encode_into(&mut buf);
+            // Bytes past the entry are zero here; flips of the size byte
+            // make both decoders read into them alike.
+            for i in 0..buf.len() {
+                for bit in 0..8 {
+                    let pm = PmRegion::new(4096);
+                    let mut torn = buf.clone();
+                    torn[i] ^= 1 << bit;
+                    pm.write(PmAddr(64), &torn);
+                    let full = LogEntry::decode(&pm, PmAddr(64));
+                    let head = EntryHeader::decode(&pm, PmAddr(64));
+                    match (full, head) {
+                        (Err(a), Err(b)) => assert_eq!(a, b, "byte {i} bit {bit} of {e:?}"),
+                        (Ok(None), Ok(None)) => {}
+                        (Ok(Some((f, len))), Ok(Some(h))) => {
+                            assert_eq!(h.load(&pm, PmAddr(64)), f);
+                            assert_eq!(h.encoded_len(), len);
+                        }
+                        (f, h) => panic!("byte {i} bit {bit} of {e:?}: {f:?} vs {h:?}"),
+                    }
+                }
+            }
+        }
+        // A CRC-valid pointer Put with a null pointer is Corrupt in both.
+        let mut buf = Vec::new();
+        LogEntry::put_ptr(9, 9, PmAddr(0x100)).encode_into(&mut buf);
+        buf[11..15].fill(0);
+        buf[PTR_CRC_OFF] = crc8(&buf, PTR_CRC_OFF);
+        let pm = PmRegion::new(4096);
+        pm.write(PmAddr(64), &buf);
+        assert_eq!(
+            LogEntry::decode(&pm, PmAddr(64)),
+            Err(LogError::Corrupt { addr: 64 })
+        );
+        assert_eq!(
+            EntryHeader::decode(&pm, PmAddr(64)),
+            Err(LogError::Corrupt { addr: 64 })
+        );
     }
 
     #[test]

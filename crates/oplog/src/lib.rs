@@ -10,11 +10,12 @@
 //!
 //! Key pieces:
 //!
-//! * [`LogEntry`] / [`LogOp`] / [`Payload`] — the entry codec (Figure 3).
+//! * [`LogEntry`] / [`LogOp`] / [`Payload`] — the entry codec (Figure 3);
+//!   [`EntryHeader`] — its allocation-free, header-only decode.
 //! * [`OpLog`] — a per-core log over a chain of 4 MB chunks with batched,
 //!   cacheline-padded appends, a persisted tail pointer, log cleaning
 //!   ([`OpLog::clean_chunk`]) and a recovery scan
-//!   ([`OpLog::recover_with`]).
+//!   ([`OpLog::recover_headers`]).
 //! * [`ChunkUsage`] — per-chunk liveness accounting for victim selection.
 //!
 //! # Example
@@ -41,6 +42,8 @@ mod entry;
 mod error;
 mod log;
 
-pub use entry::{LogEntry, LogOp, Payload, INLINE_HEADER_LEN, INLINE_MAX, PTR_ENTRY_LEN};
+pub use entry::{
+    EntryHeader, LogEntry, LogOp, Payload, INLINE_HEADER_LEN, INLINE_MAX, PTR_ENTRY_LEN,
+};
 pub use error::LogError;
 pub use log::{ChunkUsage, OpLog, Relocation, ENTRY_AREA};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pmalloc::{ChunkManager, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion, CACHELINE};
 
-use crate::entry::{LogEntry, LogOp, PTR_ENTRY_LEN};
+use crate::entry::{EntryHeader, LogEntry, LogOp, PTR_ENTRY_LEN};
 use crate::error::LogError;
 
 /// Byte offset of the first entry in a chunk (the first cacheline holds the
@@ -152,10 +152,36 @@ impl OpLog {
         self.pad_batches = on;
     }
 
-    /// Rebuilds a log from its persistent descriptor, invoking `f` for every
-    /// surviving entry (in chain order). Used both for crash recovery (the
-    /// caller replays entries into the volatile index, newest version wins)
-    /// and after clean shutdown (the caller may ignore the entries).
+    /// [`recover_headers`](Self::recover_headers) over the whole log,
+    /// materialising every surviving entry (inline values copied out) for
+    /// callers that want more than the header.
+    ///
+    /// # Errors
+    ///
+    /// As for [`recover_headers`](Self::recover_headers).
+    pub fn recover_with(
+        mgr: Arc<ChunkManager>,
+        desc: PmAddr,
+        mut f: impl FnMut(LogEntry, PmAddr),
+    ) -> Result<OpLog, LogError> {
+        let pm = Arc::clone(mgr.pm());
+        Self::recover_headers(mgr, desc, None, |h, addr| f(h.load(&pm, addr), addr))
+    }
+
+    /// Rebuilds a log from its persistent descriptor, invoking `f` with the
+    /// [`EntryHeader`] and address of every surviving entry (in chain
+    /// order) — the recovery scan: one pass, nothing allocated per entry,
+    /// every entry's CRC-8 verified. The caller replays the headers into
+    /// the volatile index (newest version wins) and finds the per-chunk
+    /// entry counts in [`usages`](Self::usages) afterwards.
+    ///
+    /// With `from = Some(cursor)` (a checkpoint cursor: a tail address
+    /// recorded while the log was quiescent) every entry before the cursor
+    /// is skipped, and chunks preceding the cursor's chunk are not scanned
+    /// at all — the checkpoint's recovery speedup (paper §3.5). Only sound
+    /// while the chain has not been re-ordered by the cleaner since the
+    /// cursor was taken (the engine invalidates checkpoints before
+    /// cleaning).
     ///
     /// An entry failing its CRC-8 (a torn write) is **truncated, not
     /// replayed**: the scan stops there, and if the tear precedes the
@@ -164,44 +190,13 @@ impl OpLog {
     ///
     /// # Errors
     ///
-    /// [`LogError::Corrupt`] on undecodable state.
-    pub fn recover_with(
-        mgr: Arc<ChunkManager>,
-        desc: PmAddr,
-        f: impl FnMut(LogEntry, PmAddr),
-    ) -> Result<OpLog, LogError> {
-        Self::recover_from(mgr, desc, None, f)
-    }
-
-    /// Like [`recover_with`](Self::recover_with), but skips every entry
-    /// before `from` (a checkpoint cursor: a tail address recorded while
-    /// the log was quiescent). Chunks preceding the cursor's chunk are not
-    /// scanned at all — the checkpoint's recovery speedup (paper §3.5).
-    /// Replication catch-up uses the same cursor semantics to ship only the
-    /// suffix past a backup's persisted watermark. Torn entries truncate as
-    /// in [`recover_with`](Self::recover_with).
-    ///
-    /// Only sound while the chain has not been re-ordered by the cleaner
-    /// since the cursor was taken (the engine invalidates checkpoints
-    /// before cleaning).
-    ///
-    /// # Errors
-    ///
-    /// [`LogError::Corrupt`] on undecodable state.
-    pub fn recover_with_from(
-        mgr: Arc<ChunkManager>,
-        desc: PmAddr,
-        from: PmAddr,
-        f: impl FnMut(LogEntry, PmAddr),
-    ) -> Result<OpLog, LogError> {
-        Self::recover_from(mgr, desc, Some(from), f)
-    }
-
-    fn recover_from(
+    /// [`LogError::Corrupt`] on undecodable state, or when `from` is not on
+    /// the chain.
+    pub fn recover_headers(
         mgr: Arc<ChunkManager>,
         desc: PmAddr,
         from: Option<PmAddr>,
-        mut f: impl FnMut(LogEntry, PmAddr),
+        mut f: impl FnMut(EntryHeader, PmAddr),
     ) -> Result<OpLog, LogError> {
         let pm = Arc::clone(mgr.pm());
         let head = PmAddr(pm.read_u64(desc + DESC_HEAD));
@@ -241,16 +236,16 @@ impl OpLog {
                 }
             }
             while pos < end {
-                match LogEntry::decode(&pm, pos) {
+                match EntryHeader::decode(&pm, pos) {
                     Ok(None) => {
                         // Padding: skip to the next cacheline.
                         pos = (pos + 1).align_up(CACHELINE);
                     }
-                    Ok(Some((e, _))) if e.op == LogOp::Seal => break,
-                    Ok(Some((e, len))) => {
+                    Ok(Some(h)) if h.op == LogOp::Seal => break,
+                    Ok(Some(h)) => {
                         count += 1;
-                        f(e, pos);
-                        pos += len as u64;
+                        f(h, pos);
+                        pos += h.encoded_len() as u64;
                     }
                     Err(LogError::ChecksumMismatch { .. }) => {
                         // Torn write: nothing from here on in this chunk was
@@ -440,6 +435,23 @@ impl OpLog {
         }
     }
 
+    /// Decodes only the header of the entry at `addr`, trusting it (no
+    /// CRC, no allocation): for addresses taken from the volatile index,
+    /// which only references validated entries — e.g. to learn whether a
+    /// superseded entry owned an out-of-log block.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::Corrupt`] if `addr` does not hold an entry.
+    pub fn read_header(&self, addr: PmAddr) -> Result<EntryHeader, LogError> {
+        match EntryHeader::decode_trusted(&self.pm, addr)? {
+            Some(h) if h.op != LogOp::Seal => Ok(h),
+            _ => Err(LogError::Corrupt {
+                addr: addr.offset(),
+            }),
+        }
+    }
+
     /// Picks cleaning victims: chunks (never the active tail chunk) whose
     /// live ratio is at most `max_live_ratio`, worst first.
     pub fn victims(&self, max_live_ratio: f64) -> Vec<PmAddr> {
@@ -453,7 +465,7 @@ impl OpLog {
         v.into_iter().map(|(c, _)| c).collect()
     }
 
-    /// Reclaims `victim`: copies the entries `is_live` approves to a fresh
+    /// Reclaims `victim`: copies the entries whose header `is_live` approves to a fresh
     /// chunk inserted at the chain head, unlinks the victim from the chain,
     /// and returns the relocations. The victim chunk is **not** returned to
     /// the pool — the caller must CAS the volatile index to the new
@@ -474,7 +486,7 @@ impl OpLog {
     pub fn clean_chunk(
         &mut self,
         victim: PmAddr,
-        mut is_live: impl FnMut(&LogEntry, PmAddr) -> bool,
+        mut is_live: impl FnMut(&EntryHeader, PmAddr) -> bool,
     ) -> Result<Vec<Relocation>, LogError> {
         let idx = self
             .chunks
@@ -489,19 +501,20 @@ impl OpLog {
             });
         }
 
-        // Collect live entries.
+        // Collect live entries: liveness is judged on the header, and only
+        // survivors have their value copied out of the victim.
         let mut live = Vec::new();
         let mut pos = victim + ENTRY_AREA;
         let end = PmAddr(victim.offset() + ENTRY_END);
         while pos < end {
-            match LogEntry::decode(&self.pm, pos)? {
+            match EntryHeader::decode(&self.pm, pos)? {
                 None => pos = (pos + 1).align_up(CACHELINE),
-                Some((e, _)) if e.op == LogOp::Seal => break,
-                Some((e, len)) => {
-                    if is_live(&e, pos) {
-                        live.push((e, pos));
+                Some(h) if h.op == LogOp::Seal => break,
+                Some(h) => {
+                    if is_live(&h, pos) {
+                        live.push((h.load(&self.pm, pos), pos));
                     }
-                    pos += len as u64;
+                    pos += h.encoded_len() as u64;
                 }
             }
         }
@@ -588,7 +601,7 @@ impl OpLog {
     ///
     /// Used by replication catch-up to ship a quiescent primary's log
     /// suffix past a backup's persisted watermark; the cursor soundness
-    /// caveat of [`recover_with_from`](Self::recover_with_from) applies.
+    /// caveat of [`recover_headers`](Self::recover_headers) applies.
     /// Unlike recovery, a torn entry here is an error (`ChecksumMismatch`)
     /// rather than a truncation: the caller's log is supposed to be quiet.
     ///

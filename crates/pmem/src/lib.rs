@@ -12,6 +12,9 @@
 //!   shadow copy holds only the flushed state, and [`PmRegion::simulate_crash`]
 //!   discards everything that was never flushed — exactly the data loss a
 //!   power failure causes on real hardware.
+//! * [`PmRegion::dram_arena`] is the same byte-addressable interface over
+//!   plain DRAM — committed on first touch, nothing counted, flushes ignored —
+//!   for the volatile indexes that live beside the PM pool.
 //! * [`PmStats`] counts every write, flush and fence so tests and benchmarks
 //!   can assert on the *number of persistence operations*, the quantity the
 //!   FlatStore paper optimizes.

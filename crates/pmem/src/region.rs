@@ -9,29 +9,60 @@ use crate::addr::{PmAddr, CACHELINE};
 use crate::stats::PmStats;
 use crate::trace::PmEvent;
 
-/// A zeroed, manually managed byte buffer.
+/// A zeroed, 64 B-aligned, manually managed byte buffer.
 struct RawBuf {
+    /// First usable byte (64 B-aligned).
     ptr: *mut u8,
+    /// What the allocator returned (`ptr` or up to 63 bytes before it).
+    base: *mut u8,
     layout: Layout,
 }
 
 impl RawBuf {
+    /// Every page committed up front: `alloc_zeroed` at 64 B alignment is
+    /// `posix_memalign` + `memset`.
     fn new(len: usize) -> Self {
         assert!(len > 0, "PM region must be non-empty");
         // pmlint: allow(no-unwrap) — len > 0 asserted above and 64 is a valid
         // power-of-two alignment, so the layout is always constructible.
         let layout = Layout::from_size_align(len, CACHELINE as usize).expect("layout");
         // SAFETY: layout has non-zero size.
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "PM region allocation failed");
-        RawBuf { ptr, layout }
+        let base = unsafe { alloc_zeroed(layout) };
+        assert!(!base.is_null(), "PM region allocation failed");
+        RawBuf {
+            ptr: base,
+            base,
+            layout,
+        }
+    }
+
+    /// Pages committed on first touch: at an alignment the platform
+    /// allocator guarantees anyway (≤ 16), `alloc_zeroed` is `calloc`,
+    /// which hands out untouched zero pages for large sizes. The buffer
+    /// is over-allocated by one cacheline and its start rounded up to
+    /// 64 B by hand.
+    fn lazy(len: usize) -> Self {
+        assert!(len > 0, "DRAM arena must be non-empty");
+        let slack = CACHELINE as usize;
+        // pmlint: allow(no-unwrap) — non-zero size, power-of-two alignment;
+        // only a length within 64 B of `isize::MAX` could fail.
+        let layout = Layout::from_size_align(len + slack, 16).expect("layout");
+        // SAFETY: layout has non-zero size.
+        let base = unsafe { alloc_zeroed(layout) };
+        assert!(!base.is_null(), "DRAM arena allocation failed");
+        let pad = base.align_offset(slack);
+        assert!(pad < slack, "cannot align the arena to a cacheline");
+        // SAFETY: pad < 64 and the allocation is len + 64 bytes, so
+        // `base + pad .. base + pad + len` lies inside it.
+        let ptr = unsafe { base.add(pad) };
+        RawBuf { ptr, base, layout }
     }
 }
 
 impl Drop for RawBuf {
     fn drop(&mut self) {
-        // SAFETY: allocated with this exact layout in `new`.
-        unsafe { dealloc(self.ptr, self.layout) }
+        // SAFETY: `base` was allocated with this exact layout.
+        unsafe { dealloc(self.base, self.layout) }
     }
 }
 
@@ -72,8 +103,12 @@ unsafe impl Sync for RawBuf {}
 pub struct PmRegion {
     buf: RawBuf,
     shadow: Option<RawBuf>,
-    /// One bit per cacheline: written since last flush.
+    /// One bit per cacheline: written since last flush (empty for a
+    /// [`dram_arena`](Self::dram_arena)).
     dirty: Vec<AtomicU64>,
+    /// A plain-DRAM arena: no dirty bits, no counters, no trace, and
+    /// flush/fence are no-ops.
+    dram: bool,
     /// Strict-fence mode: lines flushed but not yet fenced, with the line
     /// contents captured at flush time. On a crash each survives only with
     /// probability ½ (seeded) — `clwb` alone does not order persistence.
@@ -104,11 +139,18 @@ impl PmRegion {
     /// Creates a region of `len` bytes without crash tracking (half the
     /// memory cost; `simulate_crash` is unavailable).
     ///
+    /// Every page of the region (and of the crash shadow, where there is
+    /// one) is committed here, on purpose: with the pool committed on
+    /// first touch instead, the page faults land on whichever Put first
+    /// reaches a page, and `perfmap`'s `crash_recover` `lat_p99_us` rose
+    /// from 46 to 64–82 µs (EXPERIMENTS.md, "tried, no resolvable gain").
+    /// Only [`dram_arena`](Self::dram_arena) commits lazily.
+    ///
     /// # Panics
     ///
     /// Panics if `len` is zero or not a multiple of the cacheline size (64).
     pub fn new(len: usize) -> Self {
-        Self::build(len, false)
+        Self::build(len, false, false)
     }
 
     /// Creates a region of `len` bytes with a shadow copy tracking flushed
@@ -118,7 +160,7 @@ impl PmRegion {
     ///
     /// Panics if `len` is zero or not a multiple of the cacheline size (64).
     pub fn with_crash_tracking(len: usize) -> Self {
-        Self::build(len, true)
+        Self::build(len, true, false)
     }
 
     /// Like [`with_crash_tracking`](Self::with_crash_tracking), but with
@@ -131,7 +173,7 @@ impl PmRegion {
     ///
     /// Panics if `len` is zero or not a multiple of the cacheline size (64).
     pub fn with_strict_fences(len: usize, seed: u64) -> Self {
-        let mut r = Self::build(len, true);
+        let mut r = Self::build(len, true, false);
         r.strict = Some(Mutex::new(StrictFence {
             pending: Vec::new(),
             rng: seed | 1,
@@ -139,21 +181,43 @@ impl PmRegion {
         r
     }
 
-    fn build(len: usize, crash: bool) -> Self {
+    /// Creates `len` bytes of plain **DRAM** for a volatile index (the
+    /// engine's per-core CCEH / FAST&FAIR arenas) — not a PM device:
+    ///
+    /// * zeroed like every region, but pages are committed on first touch,
+    ///   so an arena sized for the worst case costs only what the index
+    ///   actually uses;
+    /// * [`write`](Self::write), [`fill`](Self::fill) and
+    ///   [`read`](Self::read) are a bounds check and a copy — no dirty
+    ///   bits, no [`PmStats`] counters, no trace events (nothing ever reads
+    ///   them for DRAM);
+    /// * [`flush`](Self::flush) and [`fence`](Self::fence) do nothing and
+    ///   [`is_dirty`](Self::is_dirty) is always `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero or not a multiple of the cacheline size (64).
+    pub fn dram_arena(len: usize) -> Self {
+        Self::build(len, false, true)
+    }
+
+    fn build(len: usize, crash: bool, dram: bool) -> Self {
         assert!(len > 0, "PM region must be non-empty");
         assert_eq!(
             len as u64 % CACHELINE,
             0,
             "PM region length must be a multiple of the 64 B cacheline"
         );
+        let alloc = if dram { RawBuf::lazy } else { RawBuf::new };
         let lines = len as u64 / CACHELINE;
-        let words = lines.div_ceil(64) as usize;
+        let words = if dram { 0 } else { lines.div_ceil(64) as usize };
         let mut dirty = Vec::with_capacity(words);
         dirty.resize_with(words, || AtomicU64::new(0));
         PmRegion {
-            buf: RawBuf::new(len),
-            shadow: crash.then(|| RawBuf::new(len)),
+            buf: alloc(len),
+            shadow: crash.then(|| alloc(len)),
             dirty,
+            dram,
             strict: None,
             len,
             stats: PmStats::new(),
@@ -235,11 +299,21 @@ impl PmRegion {
                 src.len(),
             );
         }
-        self.mark_dirty(addr, src.len());
-        self.stats.record_write(src.len() as u64);
+        self.note_write(addr, src.len());
+    }
+
+    /// Dirty bits, counters and trace for a store of `len` bytes at `addr`
+    /// (none of them kept for a DRAM arena).
+    #[inline]
+    fn note_write(&self, addr: PmAddr, len: usize) {
+        if self.dram {
+            return;
+        }
+        self.mark_dirty(addr, len);
+        self.stats.record_write(len as u64);
         self.trace_event(PmEvent::Write {
             addr: addr.offset(),
-            len: src.len() as u32,
+            len: len as u32,
         });
     }
 
@@ -260,12 +334,7 @@ impl PmRegion {
         unsafe {
             std::ptr::write_bytes(self.buf.ptr.add(addr.offset() as usize), byte, len);
         }
-        self.mark_dirty(addr, len);
-        self.stats.record_write(len as u64);
-        self.trace_event(PmEvent::Write {
-            addr: addr.offset(),
-            len: len as u32,
-        });
+        self.note_write(addr, len);
     }
 
     /// Loads `dst.len()` bytes from `addr` into `dst`.
@@ -283,6 +352,9 @@ impl PmRegion {
                 dst.as_mut_ptr(),
                 dst.len(),
             );
+        }
+        if self.dram {
+            return;
         }
         self.stats.record_read(dst.len() as u64);
         self.trace_event(PmEvent::Read {
@@ -318,7 +390,7 @@ impl PmRegion {
     /// (shadow) state. Flushing a clean line is counted as a *redundant
     /// flush* in [`PmStats`].
     pub fn flush(&self, addr: PmAddr, len: usize) {
-        if len == 0 {
+        if len == 0 || self.dram {
             return;
         }
         self.check(addr, len);
@@ -372,6 +444,9 @@ impl PmRegion {
     /// Issues an ordering fence (`sfence`). In strict-fence mode this is
     /// the moment flushed lines join the persisted state.
     pub fn fence(&self) {
+        if self.dram {
+            return;
+        }
         if let Some(strict) = &self.strict {
             self.commit_pending(&mut strict.lock().pending);
         }
@@ -406,7 +481,7 @@ impl PmRegion {
         self.check(addr, 1);
         let line = addr.cacheline();
         let word = (line / 64) as usize;
-        self.dirty[word].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
+        !self.dram && self.dirty[word].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
     }
 
     /// Simulates a power failure: every write that was not flushed is lost,
@@ -721,6 +796,39 @@ mod tests {
         std::fs::write(&dir, [9u8; 8]).unwrap(); // absurd length header
         assert!(PmRegion::load(&dir, false).is_err());
         std::fs::remove_file(&dir).unwrap();
+    }
+
+    #[test]
+    fn dram_arena_is_zeroed_aligned_and_counts_nothing() {
+        let len = 8 << 20;
+        let dram = PmRegion::dram_arena(len);
+        assert_eq!(dram.len(), len);
+        assert_eq!(dram.buf.ptr as usize % CACHELINE as usize, 0);
+        // Zeroed end to end (first, last and a stride through the middle).
+        for off in (0..len as u64).step_by(4096 - 8).chain([len as u64 - 8]) {
+            assert_eq!(dram.read_u64(PmAddr(off)), 0, "offset {off}");
+        }
+        // Plain memory semantics…
+        dram.write(PmAddr(100), b"volatile");
+        dram.fill(PmAddr(len as u64 - 64), 64, 0xFF);
+        assert_eq!(dram.read_vec(PmAddr(100), 8), b"volatile");
+        assert_eq!(dram.read_u64(PmAddr(len as u64 - 8)), u64::MAX);
+        // …with none of the PM bookkeeping: no dirty bits, no counters, no
+        // trace, and flush/fence are accepted and ignored.
+        dram.set_trace(true);
+        dram.write_u64(PmAddr(0), 7);
+        assert!(!dram.is_dirty(PmAddr(0)));
+        dram.persist(PmAddr(0), 8);
+        assert_eq!(dram.stats().snapshot(), PmStats::new().snapshot());
+        assert!(dram.take_events().is_empty());
+        assert!(!dram.crash_tracking());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn dram_arena_still_bounds_checks() {
+        let dram = PmRegion::dram_arena(128);
+        dram.write(PmAddr(120), &[0u8; 16]);
     }
 
     #[test]

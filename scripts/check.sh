@@ -76,6 +76,13 @@ test -s "$tmpdir/trace.json"
 echo "== smoke-scale figures =="
 FLATBENCH_QUICK=1 cargo bench --workspace --offline
 
+echo "== perfmap (the stand-alone wall-clock benchmark: build, unit tests, smoke) =="
+# A package of its own (empty [workspace] table), so --workspace above
+# never reaches it; it builds into perfmap/target.
+cargo build --release --offline --manifest-path perfmap/Cargo.toml
+cargo test --offline -q --manifest-path perfmap/Cargo.toml
+perfmap/smoke.sh
+
 echo "== BENCH trajectory smoke (tracing-overhead harness) =="
 FLATBENCH_QUICK=1 scripts/bench.sh
 
