@@ -359,7 +359,7 @@ impl ClusterShared {
 
 /// Collapses a full-chain walk to the newest version per key. Entries
 /// for one key all live in one core's log (keys shard by hash), so the
-/// version field totally orders them.
+/// version field orders them ([`oplog::newer`], across wrap-around).
 fn dedupe_newest(ops: Vec<ReplOp>) -> Vec<ReplOp> {
     let mut newest: std::collections::HashMap<u64, ReplOp> = std::collections::HashMap::new();
     for op in ops {
@@ -368,7 +368,7 @@ fn dedupe_newest(ops: Vec<ReplOp>) -> Vec<ReplOp> {
         };
         match newest.get(&key) {
             Some(ReplOp::Put { version: v, .. }) | Some(ReplOp::Delete { version: v, .. })
-                if *v >= version => {}
+                if !oplog::newer(version, *v) => {}
             _ => {
                 newest.insert(key, op);
             }

@@ -530,6 +530,11 @@ impl Quarantine {
         self.chunks.lock().push((Instant::now(), chunk));
     }
 
+    /// Chunks waiting out their grace period.
+    pub fn len(&self) -> u32 {
+        self.chunks.lock().len() as u32
+    }
+
     /// Returns matured chunks to the pool; call periodically.
     pub fn release(&self, mgr: &ChunkManager) -> u32 {
         let mut released = 0;

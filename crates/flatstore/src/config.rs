@@ -38,9 +38,11 @@ pub enum ExecutionModel {
 pub struct GcConfig {
     /// Whether cleaning runs at all.
     pub enabled: bool,
-    /// Chunks whose live-entry ratio is at most this become victims.
+    /// Chunks whose live-entry ratio is at most this become victims; a
+    /// fuller chunk is never cleaned, however tight the pool.
     pub max_live_ratio: f64,
-    /// Cleaning starts when the shared pool has fewer free chunks.
+    /// Cleaning starts when the shared pool has fewer free chunks,
+    /// counting those quarantined on their way back.
     pub min_free_chunks: u32,
 }
 

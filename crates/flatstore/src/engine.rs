@@ -6,7 +6,7 @@ use racecheck::sync::Arc;
 use std::collections::hash_map::{Entry, HashMap};
 use std::thread::JoinHandle;
 
-use oplog::{EntryHeader, LogEntry, LogOp, OpLog};
+use oplog::{newer, EntryHeader, LogEntry, LogOp, OpLog};
 use pmalloc::{ChunkManager, CoreAllocator, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion};
 
@@ -426,7 +426,7 @@ impl FlatStore {
                             slot.insert((h.version, i));
                             continue;
                         }
-                        Entry::Occupied(won) if won.get().0 >= h.version => i,
+                        Entry::Occupied(won) if !newer(h.version, won.get().0) => i,
                         Entry::Occupied(mut won) => won.insert((h.version, i)).1,
                     };
                     stale[loser] = true;
@@ -501,10 +501,11 @@ impl FlatStore {
         let cur = index.get(owner, e.key);
         let cur_ver = cur.map(|c| unpack(c).0);
         let del_ver = deleted.get(owner, e.key).map(|(v, _)| v);
-        let newer = cur_ver.is_none_or(|v| e.version > v) && del_ver.is_none_or(|v| e.version > v);
+        let newest = cur_ver.is_none_or(|v| newer(e.version, v))
+            && del_ver.is_none_or(|v| newer(e.version, v));
         match e.op {
             LogOp::Put => {
-                if newer {
+                if newest {
                     if let Some(b) = e.block() {
                         // Tolerate already-set: the block may be covered by
                         // the checkpoint's persisted bitmaps.
@@ -527,7 +528,7 @@ impl FlatStore {
                 }
             }
             LogOp::Delete => {
-                if newer {
+                if newest {
                     if let Some(old) = index.remove(owner, e.key) {
                         usage.note_dead(unpack(old).1);
                     }

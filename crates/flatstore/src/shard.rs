@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use flatrpc::{clock, ClientId, Envelope};
 use obs::{Event, FlightRecord, Span, Stage};
-use oplog::{LogEntry, LogOp, OpLog, Payload, INLINE_MAX};
+use oplog::{newer, ChunkUsage, LogEntry, LogOp, OpLog, Payload, INLINE_MAX, VERSION_MASK};
 use pmalloc::{ChunkManager, CoreAllocator};
 use pmem::{PmAddr, PmRegion};
 
@@ -30,8 +30,6 @@ use crate::repl::{ReplOp, ReplicationSink};
 use crate::request::{FabReq, OpReq, OpResult, StoreServerCore};
 use crate::value::{pack, read_record, record_size, unpack, write_record};
 use crate::vindex::VolatileIndex;
-
-const VERSION_MASK: u32 = 0xF_FFFF;
 
 /// Routes `key` to its owning server core (paper §3.1: clients send
 /// requests to the core determined by the keyhash).
@@ -960,7 +958,7 @@ impl Shard {
                 let newest = self
                     .index
                     .get(self.core, key)
-                    .is_none_or(|cur| unpack(cur).0 < version);
+                    .is_none_or(|cur| newer(version, unpack(cur).0));
                 if !newest {
                     // Superseded before it was applied: its entry (and any
                     // out-of-log block) is dead on arrival.
@@ -1135,8 +1133,8 @@ impl Shard {
 
     /// Incremental log cleaning (paper §3.4), run cooperatively on the
     /// server core. Victims are this core's chunks with the lowest live
-    /// ratio; the reclaimed chunk passes through the grace-period
-    /// quarantine before re-entering the pool.
+    /// ratio ([`gc_victim`]); the reclaimed chunk passes through the
+    /// grace-period quarantine before re-entering the pool.
     fn maybe_gc(&mut self) {
         self.tick += 1;
         if self.tick.is_multiple_of(64) {
@@ -1149,27 +1147,17 @@ impl Shard {
         if free >= self.gc.min_free_chunks {
             return;
         }
+        let headroom = free + self.quarantine.len();
         let tail_chunk = OpLog::chunk_of(self.log.tail());
-        let mut best: Option<(PmAddr, f64)> = None;
-        for &c in self.log.chunks() {
-            if c == tail_chunk {
-                continue;
-            }
-            let u = self.usage.usage(c);
-            if u.total == 0 {
-                continue;
-            }
-            let r = u.live_ratio();
-            if best.is_none_or(|(_, br)| r < br) {
-                best = Some((c, r));
-            }
+        let chunks = self
+            .log
+            .chunks()
+            .iter()
+            .filter(|&&c| c != tail_chunk)
+            .map(|&c| (c, self.usage.usage(c)));
+        if let Some(victim) = gc_victim(&self.gc, headroom, chunks) {
+            self.clean(victim);
         }
-        let Some((victim, ratio)) = best else { return };
-        let urgent = free <= self.gc.min_free_chunks / 2;
-        if ratio > self.gc.max_live_ratio && !urgent {
-            return;
-        }
-        self.clean(victim);
     }
 
     fn clean(&mut self, victim: PmAddr) {
@@ -1221,5 +1209,54 @@ impl Shard {
         self.stats
             .gc_relocated
             .fetch_add(relocs.len() as u64, Ordering::Relaxed);
+    }
+}
+
+/// The cleaner's decision. Nothing is cleaned while the pool's headroom —
+/// free chunks plus quarantined ones on their way back — reaches
+/// `min_free_chunks`. Otherwise the least-live chunk is cleaned, but only
+/// if at most `max_live_ratio` of it is live: survivors are copied into a
+/// fresh chunk, one victim to one target, so a fuller victim nets no
+/// chunk and cleaning it would only park one in quarantine.
+fn gc_victim(
+    gc: &GcConfig,
+    headroom: u32,
+    chunks: impl IntoIterator<Item = (PmAddr, ChunkUsage)>,
+) -> Option<PmAddr> {
+    if headroom >= gc.min_free_chunks {
+        return None;
+    }
+    let (victim, ratio) = chunks
+        .into_iter()
+        .filter(|(_, u)| u.total > 0)
+        .map(|(c, u)| (c, u.live_ratio()))
+        .min_by(|a, b| a.1.total_cmp(&b.1))?;
+    (ratio <= gc.max_live_ratio).then_some(victim)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn usage(total: u32, dead: u32) -> ChunkUsage {
+        ChunkUsage { total, dead }
+    }
+
+    #[test]
+    fn cleaner_cleans_the_least_live_chunk_only_when_it_can_net_one() {
+        let gc = GcConfig::default(); // min_free_chunks 8, max_live_ratio 0.5
+        let (a, b, c) = (PmAddr(4 << 20), PmAddr(8 << 20), PmAddr(12 << 20));
+        let chunks = [(a, usage(100, 40)), (b, usage(100, 90)), (c, usage(0, 0))];
+        assert_eq!(gc_victim(&gc, 3, chunks), Some(b), "least live wins");
+        assert_eq!(gc_victim(&gc, 8, chunks), None, "enough headroom");
+        // Only full or barely dead chunks: none is worth a clean, however
+        // tight the pool — a 3-entry, all-live survivor chunk included.
+        let full = [(a, usage(3, 0)), (b, usage(100, 40))];
+        assert_eq!(gc_victim(&gc, 0, full), None);
+        // A fully dead chunk is always worth it: it nets a whole chunk.
+        let dead = [(a, usage(3, 0)), (b, usage(50, 50))];
+        assert_eq!(gc_victim(&gc, 0, dead), Some(b));
+        // Empty (never-appended) chunks are no candidates at all.
+        assert_eq!(gc_victim(&gc, 0, [(c, usage(0, 0))]), None);
     }
 }

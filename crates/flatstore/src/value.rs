@@ -1,5 +1,6 @@
 //! Index-value packing and the out-of-log record format.
 
+use oplog::VERSION_MASK;
 use pmem::{PmAddr, PmRegion};
 
 /// Bits of the packed value holding the entry address (1 TB of PM).
@@ -12,13 +13,16 @@ const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 #[inline]
 pub(crate) fn pack(version: u32, addr: PmAddr) -> u64 {
     debug_assert!(addr.offset() <= ADDR_MASK);
-    ((version as u64 & 0xF_FFFF) << ADDR_BITS) | addr.offset()
+    (((version & VERSION_MASK) as u64) << ADDR_BITS) | addr.offset()
 }
 
 /// Inverse of [`pack`].
 #[inline]
 pub(crate) fn unpack(v: u64) -> (u32, PmAddr) {
-    (((v >> ADDR_BITS) & 0xF_FFFF) as u32, PmAddr(v & ADDR_MASK))
+    (
+        (v >> ADDR_BITS) as u32 & VERSION_MASK,
+        PmAddr(v & ADDR_MASK),
+    )
 }
 
 /// Writes an out-of-log record `(v_len, value)` into `block` (paper §3.2
@@ -47,7 +51,7 @@ mod tests {
 
     #[test]
     fn pack_round_trips() {
-        for (v, a) in [(0u32, 64u64), (1, 4096), (0xF_FFFF, ADDR_MASK)] {
+        for (v, a) in [(0u32, 64u64), (1, 4096), (VERSION_MASK, ADDR_MASK)] {
             let packed = pack(v, PmAddr(a));
             assert_eq!(unpack(packed), (v, PmAddr(a)));
         }
@@ -56,7 +60,7 @@ mod tests {
     #[test]
     fn version_is_masked() {
         let (v, _) = unpack(pack(0xABC_DEF0, PmAddr(64)));
-        assert_eq!(v, 0xABC_DEF0 & 0xF_FFFF);
+        assert_eq!(v, 0xABC_DEF0 & VERSION_MASK);
     }
 
     #[test]

@@ -198,16 +198,17 @@ fn stats_expose_hits_misses_and_invalidations() {
     store.put(7, b"fresh").unwrap();
     assert_eq!(store.get(7).unwrap().as_deref(), Some(&b"fresh"[..]));
     let r = store.stats_report();
-    let hits = match r.get("read_cache", "hits") {
+    let row = |name: &str| match r.get("read_cache", name) {
         Some(obs::Value::U64(v)) => *v,
-        other => panic!("missing read_cache hits row: {other:?}"),
+        other => panic!("missing read_cache {name} row: {other:?}"),
     };
-    let inval = match r.get("read_cache", "invalidations") {
-        Some(obs::Value::U64(v)) => *v,
-        other => panic!("missing invalidations row: {other:?}"),
-    };
+    let hits = row("hits");
+    let inval = row("invalidations");
     assert!(hits >= 9, "repeated gets should hit, saw {hits}");
     assert!(inval >= 1, "overwrite should invalidate, saw {inval}");
+    // Both misses filled a shard with room, so admission let them in.
+    assert_eq!((row("admitted"), row("rejected")), (2, 0));
+    assert_eq!(row("inserts"), 2);
     store.shutdown().unwrap();
 }
 

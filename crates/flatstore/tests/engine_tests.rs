@@ -1,7 +1,7 @@
 //! End-to-end engine tests: correctness across execution models and index
 //! kinds, concurrency, crash recovery, clean shutdown and log cleaning.
 
-use flatstore::{Config, ExecutionModel, FlatStore, IndexKind, StoreError};
+use flatstore::{Config, ExecutionModel, FlatStore, IndexKind, Op, Reply, StoreError};
 use workloads::value_bytes;
 
 fn cfg(ncores: usize) -> Config {
@@ -518,6 +518,91 @@ fn ordered_index_gc_and_crash_compose() {
     }
     let rows = store.range(0, 300, 1000).unwrap();
     assert_eq!(rows.len(), 300);
+}
+
+/// Puts `value(i)` under `key(i)` for every `i` in `ops` through one
+/// pipelined session, asserting that every Put is acked.
+fn pipelined_puts(
+    store: &FlatStore,
+    ops: std::ops::Range<u64>,
+    key: impl Fn(u64) -> u64,
+    value: impl Fn(u64) -> Vec<u8>,
+) {
+    let mut session = store.session().unwrap();
+    let mut replies = Vec::new();
+    for i in ops {
+        session.submit(Op::put(key(i), value(i))).unwrap();
+        if i % 1024 == 0 {
+            replies.extend(session.poll_completions());
+        }
+        for (_, reply) in replies.drain(..) {
+            assert_eq!(reply, Reply::Put(Ok(())), "put {i}");
+        }
+    }
+    for (_, reply) in session.wait_all().unwrap() {
+        assert_eq!(reply, Reply::Put(Ok(())));
+    }
+}
+
+#[test]
+fn versions_wrap_without_dropping_acked_puts() {
+    // One key overwritten past 2^20 times: its 20-bit version wraps to 0
+    // at the 2^20-th Put. A 32 MiB pool holds at most seven chunks of
+    // 77 B entries (< 2^19), so the key's versions present in the log
+    // stay within the window `newer` orders unambiguously.
+    const WRAP: u64 = 1 << 20;
+    let mut c = cfg(1);
+    c.pm_bytes = 32 << 20;
+    c.crash_tracking = true;
+    let store = FlatStore::create(c.clone()).unwrap();
+    let value = |i: u64| value_bytes(i, 64);
+    pipelined_puts(&store, 0..WRAP + 8, |_| 7, value);
+    assert_eq!(store.get(7).unwrap(), Some(value(WRAP + 7)));
+    pipelined_puts(&store, WRAP + 8..WRAP + 4096, |_| 7, value);
+    let last = value(WRAP + 4095);
+    assert_eq!(store.get(7).unwrap().as_ref(), Some(&last));
+    let pm = store.kill();
+    pm.simulate_crash();
+    let store = FlatStore::open(pm, c).unwrap();
+    assert_eq!(store.get(7).unwrap(), Some(last));
+    assert_eq!(store.len(), 1);
+}
+
+#[test]
+fn tight_pool_cleaner_goes_idle_at_rest() {
+    // Five pool chunks, fewer than the default min_free_chunks (8), so
+    // the cleaner is under pressure all run long. 64 anchor keys written
+    // once, then overwrites of 2 k other keys: cleaning moves the anchors
+    // into an all-live survivor chunk, and cleaning that chunk again
+    // would take a fresh chunk for the one it frees — forever, at rest.
+    let mut c = cfg(1);
+    c.pm_bytes = 24 << 20;
+    let store = FlatStore::create(c).unwrap();
+    let key = |i: u64| match i {
+        0..64 => 1 << 20 | i,
+        _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 53,
+    };
+    let ops = 0..60_000;
+    pipelined_puts(&store, ops.clone(), key, |i| value_bytes(i, 256));
+    let gc_chunks = || {
+        store
+            .stats()
+            .gc_chunks
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    assert!(gc_chunks() > 0, "the cleaner never ran");
+    // At rest the cleaner finishes whatever still pays, then stops.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let settled = gc_chunks();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    assert_eq!(gc_chunks(), settled, "an idle store kept cleaning");
+    let mut newest = std::collections::HashMap::new();
+    for i in ops {
+        newest.insert(key(i), i);
+    }
+    for (k, i) in newest {
+        assert_eq!(store.get(k).unwrap(), Some(value_bytes(i, 256)), "key {k}");
+    }
 }
 
 /// Long soak: millions of mixed operations with periodic crash/recover

@@ -13,9 +13,11 @@
 //!   entry), 1 = Put, 2 = Delete (tombstone), 3 = Seal (end of chunk).
 //! * `Emd` — whether the value is embedded at the end of the entry.
 //! * `Version` — 20-bit per-key version used by the log cleaner and by
-//!   recovery to pick the newest entry. Wrap-around is not disambiguated;
-//!   the cleaner keeps the set of in-log versions per key far below 2²⁰
-//!   (documented paper limitation).
+//!   recovery to pick the newest entry. Versions wrap ([`VERSION_MASK`])
+//!   and are ordered by serial-number arithmetic ([`newer`]), which is
+//!   unambiguous only while the versions of one key present in the log
+//!   span less than 2¹⁹. Nothing enforces that window yet: a stale entry
+//!   in a chunk the cleaner never picks can fall further behind.
 //! * `Ptr` — 32 bits storing `block_address >> 8`; blocks from the
 //!   lazy-persist allocator are 256 B-aligned, so the low 8 bits carry no
 //!   information and 40 bits of address space (1 TB) remain reachable.
@@ -40,6 +42,23 @@ pub const PTR_ENTRY_LEN: usize = 16;
 
 /// Header bytes preceding the value of an inline entry.
 pub const INLINE_HEADER_LEN: usize = 13;
+
+/// The bits of an entry's version field; versions wrap within it.
+pub const VERSION_MASK: u32 = 0xF_FFFF;
+
+/// Whether version `a` is newer than version `b`: `a` follows `b` by
+/// less than half the 20-bit version space (RFC 1982 serial-number
+/// arithmetic), so the order survives wrap-around.
+///
+/// ```
+/// use oplog::{newer, VERSION_MASK};
+/// assert!(newer(2, 1) && !newer(1, 2) && !newer(7, 7));
+/// assert!(newer(0, VERSION_MASK), "0 follows the last version");
+/// ```
+pub fn newer(a: u32, b: u32) -> bool {
+    let ahead = a.wrapping_sub(b) & VERSION_MASK;
+    ahead != 0 && ahead < 1 << 19
+}
 
 const OP_MASK: u8 = 0b11;
 const EMD_SHIFT: u32 = 2;
@@ -373,7 +392,7 @@ impl LogEntry {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let start = buf.len();
         let emd = matches!(self.payload, Payload::Inline(_)) as u8;
-        let ver = self.version & 0xF_FFFF;
+        let ver = self.version & VERSION_MASK;
         let b0 = self.op.code() | (emd << EMD_SHIFT) | (((ver & 0xF) as u8) << 4);
         buf.push(b0);
         buf.extend_from_slice(&((ver >> 4) as u16).to_le_bytes());
@@ -521,6 +540,21 @@ mod tests {
         let e = LogEntry::tombstone(7, 0xABC_DEF0);
         let got = round_trip(&e);
         assert_eq!(got.version, 0xABC_DEF0 & 0xF_FFFF);
+    }
+
+    #[test]
+    fn newer_orders_across_the_wrap() {
+        const HALF: u32 = 1 << 19;
+        for b in [0, 1, HALF - 1, HALF, VERSION_MASK - 3, VERSION_MASK] {
+            for ahead in [1, 2, 4096, HALF - 1] {
+                let a = b.wrapping_add(ahead) & VERSION_MASK;
+                assert!(newer(a, b) && !newer(b, a), "{a} vs {b}");
+            }
+            // Exactly half the space apart is ambiguous: neither is newer.
+            let opposite = (b + HALF) & VERSION_MASK;
+            assert!(!newer(opposite, b) && !newer(b, opposite));
+            assert!(!newer(b, b));
+        }
     }
 
     #[test]

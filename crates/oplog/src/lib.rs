@@ -43,7 +43,8 @@ mod error;
 mod log;
 
 pub use entry::{
-    EntryHeader, LogEntry, LogOp, Payload, INLINE_HEADER_LEN, INLINE_MAX, PTR_ENTRY_LEN,
+    newer, EntryHeader, LogEntry, LogOp, Payload, INLINE_HEADER_LEN, INLINE_MAX, PTR_ENTRY_LEN,
+    VERSION_MASK,
 };
 pub use error::LogError;
 pub use log::{ChunkUsage, OpLog, Relocation, ENTRY_AREA};

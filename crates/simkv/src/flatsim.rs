@@ -328,15 +328,16 @@ struct CoreSim {
     deferred: VecDeque<SimReq>,
     inflight: Vec<usize>,
     group: usize,
-    /// Per-core DRAM read cache (mirrors the engine's `cache.rs`): a hit
-    /// skips the cold PM value read(s); a completed Put invalidates its
-    /// key before the response is scheduled.
+    /// Per-core DRAM read cache (the engine's `cache.rs` without its
+    /// admission policy): a hit skips the cold PM value read(s); a
+    /// completed Put invalidates its key before the response is scheduled.
     cache: SimCache,
 }
 
 /// Key-only CLOCK cache for the DES: the engine caches value bytes, but
 /// virtual time only needs membership — what matters is whether the Get
-/// pays `pm_read_cold_ns` or `cache_hit_ns`.
+/// pays `pm_read_cold_ns` or `cache_hit_ns`. Unlike the engine's cache,
+/// it admits every miss: there is no frequency sketch here.
 struct SimCache {
     /// Capacity in entries; 0 disables the cache entirely.
     cap: usize,
