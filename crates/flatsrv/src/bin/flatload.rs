@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use flatsrv::load::{self, LoadOpts, LoadSummary, Target};
 use flatsrv::server::{Listener, Server, ServerOpts, StatsSource};
-use flatstore::{Config, ExecutionModel, FlatStore};
+use flatstore::{Config, FlatStore};
 
 struct Args {
     target: Option<Target>,
@@ -151,14 +151,13 @@ fn measured<F>(opts: &LoadOpts, drive: F) -> Result<LoadSummary, String>
 where
     F: FnOnce(&Arc<FlatStore>) -> Result<LoadSummary, String>,
 {
-    let mut cfg = Config::builder()
+    let cfg = Config::builder()
         .pm_bytes(512 << 20)
         .ncores(4)
         .group_size(4)
         .pipeline_depth(opts.depth.max(1))
         .build()
         .map_err(|e| e.to_string())?;
-    cfg.model = ExecutionModel::PipelinedHb;
     let store = Arc::new(FlatStore::create(cfg).map_err(|e| e.to_string())?);
     let mut summary = drive(&store)?;
     summary.avg_batch = Some(store.stats().avg_batch());

@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use flatsrv::server::{Listener, Server, ServerOpts, StatsSource};
-use flatstore::{Config, ExecutionModel, FlatStore, IndexKind};
+use flatstore::{Config, FlatStore, IndexKind};
 
 struct Args {
     listen: Vec<String>,
@@ -88,7 +88,7 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
 
-    let mut cfg = match Config::builder()
+    let cfg = match Config::builder()
         .pm_bytes(args.pm_bytes)
         .ncores(args.ncores)
         .group_size(args.ncores)
@@ -102,7 +102,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    cfg.model = ExecutionModel::PipelinedHb;
     let store = match FlatStore::create(cfg) {
         Ok(s) => s,
         Err(e) => {

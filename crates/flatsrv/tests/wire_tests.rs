@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use flatsrv::resp::{self, Reply};
 use flatsrv::server::{Listener, Server, ServerOpts, StatsSource};
-use flatstore::{Config, ExecutionModel, FlatStore, IndexKind};
+use flatstore::{Config, FlatStore, IndexKind};
 use obs::Json;
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -25,7 +25,7 @@ struct TestServer {
 
 impl TestServer {
     fn boot(opts: ServerOpts) -> TestServer {
-        let mut cfg = Config::builder()
+        let cfg = Config::builder()
             .pm_bytes(64 << 20)
             .dram_bytes(8 << 20)
             .ncores(2)
@@ -34,7 +34,6 @@ impl TestServer {
             .index(IndexKind::Masstree)
             .build()
             .expect("valid test config");
-        cfg.model = ExecutionModel::PipelinedHb;
         let store = Arc::new(FlatStore::create(cfg).expect("boot store"));
         let path = std::env::temp_dir().join(format!(
             "flatsrv-wire-{}-{}.sock",

@@ -1,29 +1,23 @@
-//! The unified blocking client surface: the [`KvApi`] trait and the
-//! [`Client`] wrapper.
+//! The blocking client surface: the [`KvApi`] trait.
 //!
 //! The engine exposes two ways to talk to it — the clonable
 //! [`StoreHandle`] (one private depth-1 session per clone) and the
-//! pipelined [`Session`] (explicit tickets, up to `pipeline_depth` in
-//! flight). [`KvApi`] is the common denominator: every blocking caller
-//! (examples, the `flatsrv` front end's control paths, tests) codes
-//! against this one trait and works unchanged over either transport.
-//! [`Client`] adapts a `Session` to the trait by submitting one [`Op`]
-//! and waiting for its [`Reply`] — the same depth-1 discipline
-//! `StoreHandle` uses, but on a session the caller owns and can take
-//! back for pipelined phases.
+//! pipelined [`Session`](crate::Session) (explicit tickets, up to
+//! `pipeline_depth` in flight). [`KvApi`] is the blocking half:
+//! `StoreHandle` implements it here and the cluster layer's routed client
+//! implements it too, so code written against the trait for one engine
+//! runs unchanged over a cluster.
 
-use crate::engine::{mismatched, StoreHandle};
+use crate::engine::StoreHandle;
 use crate::error::StoreError;
-use crate::request::{Op, Reply};
-use crate::session::Session;
 
 /// The blocking key-value surface shared by every client type.
 ///
-/// Methods take `&mut self` so a [`Session`]-backed implementation can
-/// drive its pipeline; [`StoreHandle`]'s implementation simply forwards
-/// to its internally synchronized `&self` methods. The trait is
-/// object-safe: `&mut dyn KvApi` works where the transport is chosen at
-/// run time.
+/// Methods take `&mut self` so an implementation may keep per-caller
+/// state (a routed client's cached routing snapshot); [`StoreHandle`]'s
+/// implementation simply forwards to its internally synchronized `&self`
+/// methods. The trait is object-safe: `&mut dyn KvApi` works where the
+/// implementation is chosen at run time.
 pub trait KvApi {
     /// Stores `value` under `key`, acknowledged only once durable.
     ///
@@ -72,102 +66,5 @@ impl KvApi for StoreHandle {
 
     fn range(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
         StoreHandle::range(self, lo, hi, limit)
-    }
-}
-
-/// A blocking adapter over a pipelined [`Session`].
-///
-/// Each call submits one [`Op`] and waits for its [`Reply`] — latency
-/// equals one engine round trip, and per-operation errors come back as
-/// `Err` instead of a variant to unpack. Use
-/// [`session`](Client::session)/[`into_session`](Client::into_session)
-/// to switch to pipelined submission for bulk phases and back.
-///
-/// # Example
-///
-/// ```
-/// use flatstore::prelude::*;
-/// use flatstore::FlatStore;
-///
-/// let store = FlatStore::create(
-///     Config::builder().pm_bytes(64 << 20).ncores(2).group_size(2).build()?,
-/// )?;
-/// let mut client = Client::new(store.session()?);
-/// client.put(7, b"v")?;
-/// assert_eq!(client.get(7)?.as_deref(), Some(&b"v"[..]));
-/// assert!(client.delete(7)?);
-/// drop(client);
-/// store.shutdown()?;
-/// # Ok::<(), flatstore::StoreError>(())
-/// ```
-pub struct Client {
-    session: Session,
-}
-
-impl Client {
-    /// Wraps `session` in the blocking surface.
-    pub fn new(session: Session) -> Client {
-        Client { session }
-    }
-
-    /// The underlying session, for mixing pipelined submissions with
-    /// blocking calls (any in-flight tickets stay harvestable).
-    pub fn session(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Unwraps back into the owned session.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
-    /// Submits `op` and blocks for its reply.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::ShuttingDown`] if the engine stopped; per-operation
-    /// failures are folded into the returned result by the typed
-    /// wrappers.
-    pub fn roundtrip(&mut self, op: Op) -> Result<Reply, StoreError> {
-        let t = self.session.submit(op)?;
-        self.session.wait(t)
-    }
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client")
-            .field("session", &self.session)
-            .finish()
-    }
-}
-
-impl KvApi for Client {
-    fn put(&mut self, key: u64, value: &[u8]) -> Result<(), StoreError> {
-        match self.roundtrip(Op::put(key, value))? {
-            Reply::Put(r) => r,
-            other => Err(mismatched(other)),
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        match self.roundtrip(Op::Get { key })? {
-            Reply::Get(r) => r,
-            other => Err(mismatched(other)),
-        }
-    }
-
-    fn delete(&mut self, key: u64) -> Result<bool, StoreError> {
-        match self.roundtrip(Op::Delete { key })? {
-            Reply::Delete(r) => r,
-            other => Err(mismatched(other)),
-        }
-    }
-
-    fn range(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        match self.roundtrip(Op::Range { lo, hi, limit })? {
-            Reply::Range(r) => r,
-            other => Err(mismatched(other)),
-        }
     }
 }

@@ -282,15 +282,11 @@ impl Group {
 
     /// The leader's steal (wait-free): claims each list in the sweep
     /// range via its token CAS — skipping lists another leader holds —
-    /// and drains what it wins. With `hold`, won tokens are kept (and
-    /// returned) so the caller can pin followers out until after the
-    /// flush (NaiveHb, Figure 4c); otherwise each token is released as
-    /// soon as its list is drained (PipelinedHb's early release,
-    /// Figure 4d). Also returns how many drained entries came off the
-    /// leader's *own* list — the tuner's skew signal (`fill - own` is the
-    /// batch's stolen count).
-    pub fn collect(&self, slot: usize, hold: bool, out: &mut Vec<Posted>) -> (Vec<usize>, usize) {
-        let mut held = Vec::new();
+    /// drains what it wins and releases each token as soon as its list
+    /// is drained (pipelined HB's early release, Figure 4d). Returns how
+    /// many drained entries came off the leader's *own* list — the
+    /// tuner's skew signal (`fill - own` is the batch's stolen count).
+    pub fn collect(&self, slot: usize, out: &mut Vec<Posted>) -> usize {
         let mut drained = 0;
         let mut own = 0;
         for s in self.sweep_range(slot) {
@@ -299,7 +295,7 @@ impl Group {
             if self.tokens[s]
                 // pmlint: allow(relaxed-ordering) — failure load only: a
                 // lost CAS skips the held list, touching nothing it guards
-                // (racecheck: held_tokens_fence_out_other_leaders).
+                // (test: held_list_is_skipped_until_its_token_clears).
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
             {
@@ -310,16 +306,12 @@ impl Group {
             if s == slot {
                 own = n;
             }
-            if hold {
-                held.push(s);
-            } else {
-                self.tokens[s].store(false, Ordering::Release);
-            }
+            self.tokens[s].store(false, Ordering::Release);
         }
         if drained > 0 {
             self.pending.fetch_sub(drained, Ordering::Release);
         }
-        (held, own)
+        own
     }
 
     /// Whether work is still published inside `slot`'s sweep range — the
@@ -328,14 +320,6 @@ impl Group {
     /// business, and counting them would read as permanent congestion.
     pub fn backlog(&self, slot: usize) -> bool {
         self.sweep_range(slot).any(|s| !self.lists[s].is_empty())
-    }
-
-    /// Releases tokens kept by a `hold` collect (the Release store is
-    /// the hand-off edge to the next leader's Acquire CAS).
-    pub fn release(&self, held: &[usize]) {
-        for &s in held {
-            self.tokens[s].store(false, Ordering::Release);
-        }
     }
 }
 
@@ -712,8 +696,7 @@ mod tests {
         assert_eq!(g.pending.load(Ordering::Acquire), 4);
 
         let mut out = Vec::new();
-        let (held, own) = g.collect(0, false, &mut out);
-        assert!(held.is_empty());
+        let own = g.collect(0, &mut out);
         assert_eq!(own, 4, "everything drained came off the leader's list");
         let keys: Vec<u64> = out.iter().map(|p| p.entry.key).collect();
         assert_eq!(keys, vec![0, 1, 2, 3], "steal preserves post order");
@@ -724,27 +707,28 @@ mod tests {
     }
 
     #[test]
-    fn held_tokens_fence_out_other_leaders() {
+    fn held_list_is_skipped_until_its_token_clears() {
         let g = Group::new(2, 8);
         assert!(g.post(0, posted(1)).is_ok());
         assert!(g.post(1, posted(2)).is_ok());
+        // Another leader is mid-sweep on list 0: it owns that token.
+        g.tokens[0].store(true, Ordering::Release);
+
         let mut first = Vec::new();
-        let (held, own) = g.collect(0, true, &mut first);
-        assert_eq!(held.len(), 2);
-        assert_eq!(first.len(), 2);
-        assert_eq!(own, 1, "one entry was the leader's own, one stolen");
+        let own = g.collect(1, &mut first);
+        let keys: Vec<u64> = first.iter().map(|p| p.entry.key).collect();
+        assert_eq!(keys, vec![2], "the held list is skipped, not waited on");
+        assert_eq!(own, 1, "the one drained entry was the leader's own");
+        assert_eq!(g.pending.load(Ordering::Acquire), 1);
 
-        // While held, another leader's sweep wins nothing — even for
-        // freshly posted work.
-        assert!(g.post(0, posted(3)).is_ok());
+        // Once the other leader clears the token, the next sweep takes
+        // the list.
+        g.tokens[0].store(false, Ordering::Release);
         let mut second = Vec::new();
-        assert!(g.collect(1, false, &mut second).0.is_empty());
-        assert!(second.is_empty());
-
-        g.release(&held);
-        assert!(g.collect(1, false, &mut second).0.is_empty());
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].entry.key, 3);
+        assert_eq!(g.collect(1, &mut second), 0, "nothing left on its own list");
+        let keys: Vec<u64> = second.iter().map(|p| p.entry.key).collect();
+        assert_eq!(keys, vec![1]);
+        assert_eq!(g.pending.load(Ordering::Acquire), 0);
     }
 
     #[test]
@@ -757,12 +741,12 @@ mod tests {
         // eff = 2: leader at slot 0 sweeps lists {0, 1}, slot 2 sweeps
         // {2, 3}.
         let mut low = Vec::new();
-        g.collect(0, false, &mut low);
+        g.collect(0, &mut low);
         let mut keys: Vec<u64> = low.iter().map(|p| p.entry.key).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![0, 1]);
         let mut high = Vec::new();
-        g.collect(2, false, &mut high);
+        g.collect(2, &mut high);
         let mut keys: Vec<u64> = high.iter().map(|p| p.entry.key).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![2, 3]);

@@ -16,23 +16,6 @@ pub enum IndexKind {
     FastFair,
 }
 
-/// How server cores persist log entries — the paper's execution models
-/// (Figure 4 and §5.4's ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionModel {
-    /// One request at a time per core, one flush each ("Base").
-    NonBatch,
-    /// Each core batches only its own pending requests (Figure 4b).
-    Vertical,
-    /// Horizontal batching where the leader holds the group lock through
-    /// the flush and followers block (Figure 4c).
-    NaiveHb,
-    /// Pipelined horizontal batching: early lock release, followers keep
-    /// processing (Figure 4d, the paper's design).
-    #[default]
-    PipelinedHb,
-}
-
 /// Log-cleaning (GC) parameters (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
@@ -79,8 +62,6 @@ pub struct Config {
     pub group_size: usize,
     /// The volatile index flavor.
     pub index: IndexKind,
-    /// The batching execution model.
-    pub model: ExecutionModel,
     /// Track flushed state so `simulate_crash` works (2× memory).
     pub crash_tracking: bool,
     /// Testing: build the region with strict fence semantics — flushed but
@@ -89,9 +70,6 @@ pub struct Config {
     pub strict_fence_seed: Option<u64>,
     /// Log-cleaning parameters.
     pub gc: GcConfig,
-    /// Max requests a core drains from its request rings per loop
-    /// iteration.
-    pub channel_batch: usize,
     /// Max operations a [`Session`] keeps in flight before `submit`
     /// absorbs completions; also sizes the fabric's per-client rings.
     ///
@@ -112,8 +90,8 @@ pub struct Config {
     /// fabric and a per-epoch controller adjusts the leader linger window
     /// and the effective sweep width, starting from `group_size` (which
     /// becomes the initial operating point rather than a fixed wall).
-    /// Requires [`ExecutionModel::PipelinedHb`]. `false` keeps the static
-    /// groups bit-compatible with previous releases.
+    /// `false` keeps the static groups bit-compatible with previous
+    /// releases.
     pub adaptive: bool,
 }
 
@@ -125,11 +103,9 @@ impl Default for Config {
             ncores: 4,
             group_size: 4,
             index: IndexKind::Hash,
-            model: ExecutionModel::PipelinedHb,
             crash_tracking: false,
             strict_fence_seed: None,
             gc: GcConfig::default(),
-            channel_batch: 32,
             pipeline_depth: 16,
             read_cache_bytes: 8 << 20,
             trace_sample: 0,
@@ -190,18 +166,8 @@ impl Config {
                 (self.ncores + 3) * (4 << 20)
             ));
         }
-        if self.channel_batch == 0 {
-            return bad("channel_batch must be positive");
-        }
         if self.pipeline_depth == 0 {
             return bad("pipeline_depth must be positive");
-        }
-        if self.adaptive && self.model != ExecutionModel::PipelinedHb {
-            return bad(format!(
-                "adaptive batching requires the PipelinedHb execution \
-                 model, got {:?}",
-                self.model
-            ));
         }
         Ok(())
     }
@@ -259,12 +225,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// The batching execution model.
-    pub fn model(mut self, v: ExecutionModel) -> Self {
-        self.cfg.model = v;
-        self
-    }
-
     /// Track flushed state so `simulate_crash` works.
     pub fn crash_tracking(mut self, v: bool) -> Self {
         self.cfg.crash_tracking = v;
@@ -280,12 +240,6 @@ impl ConfigBuilder {
     /// Log-cleaning parameters.
     pub fn gc(mut self, v: GcConfig) -> Self {
         self.cfg.gc = v;
-        self
-    }
-
-    /// Max requests a core drains from its rings per loop iteration.
-    pub fn channel_batch(mut self, v: usize) -> Self {
-        self.cfg.channel_batch = v;
         self
     }
 
@@ -372,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_defaults_off_and_requires_pipelined_hb() {
+    fn adaptive_defaults_off() {
         let cfg = Config::builder()
             .pm_bytes(64 << 20)
             .ncores(2)
@@ -388,18 +342,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(cfg.adaptive);
-        for model in [
-            ExecutionModel::NonBatch,
-            ExecutionModel::Vertical,
-            ExecutionModel::NaiveHb,
-        ] {
-            match Config::builder().adaptive(true).model(model).build() {
-                Err(StoreError::InvalidConfig(msg)) => {
-                    assert!(msg.contains("adaptive"), "{msg:?}");
-                }
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -411,7 +353,6 @@ mod tests {
             (Config::builder().ncores(4).group_size(3), "must divide"),
             (Config::builder().pm_bytes((4 << 20) + 1), "multiple"),
             (Config::builder().pm_bytes(4 << 20), "too small"),
-            (Config::builder().channel_batch(0), "channel_batch"),
             (Config::builder().pipeline_depth(0), "pipeline_depth"),
         ] {
             match builder.build() {

@@ -16,7 +16,7 @@ use crate::config::Config;
 use crate::error::StoreError;
 use crate::flight::FlightRegistry;
 use crate::repl::ReplicationSink;
-use crate::request::{Op, OpResult, StoreFabric};
+use crate::request::{Op, Reply, StoreFabric};
 use crate::session::{EngineShared, Session};
 use crate::shard::{core_of, Shard};
 use crate::superblock::{Superblock, POOL_BASE};
@@ -32,7 +32,7 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 
 /// A completion of the wrong kind arrived for a blocking call — the
 /// session matched the ticket, so this indicates engine corruption.
-pub(crate) fn mismatched(other: OpResult) -> StoreError {
+fn mismatched(other: Reply) -> StoreError {
     StoreError::corrupt(format!("mismatched completion kind: {other:?}"))
 }
 
@@ -114,7 +114,7 @@ impl StoreHandle {
             let r = s.wait(t)?;
             self.shared.stats.put_latency.record(elapsed_ns(start));
             match r {
-                OpResult::Put(r) => r,
+                Reply::Put(r) => r,
                 other => Err(mismatched(other)),
             }
         })
@@ -132,7 +132,7 @@ impl StoreHandle {
             let r = s.wait(t)?;
             self.shared.stats.get_latency.record(elapsed_ns(start));
             match r {
-                OpResult::Get(r) => r,
+                Reply::Get(r) => r,
                 other => Err(mismatched(other)),
             }
         })
@@ -150,7 +150,7 @@ impl StoreHandle {
             let r = s.wait(t)?;
             self.shared.stats.delete_latency.record(elapsed_ns(start));
             match r {
-                OpResult::Delete(r) => r,
+                Reply::Delete(r) => r,
                 other => Err(mismatched(other)),
             }
         })
@@ -170,7 +170,7 @@ impl StoreHandle {
             let r = s.wait(t)?;
             self.shared.stats.range_latency.record(elapsed_ns(start));
             match r {
-                OpResult::Range(r) => r,
+                Reply::Range(r) => r,
                 other => Err(mismatched(other)),
             }
         })
@@ -798,9 +798,7 @@ impl FlatStore {
                 } else {
                     core % cfg.group_size
                 },
-                cfg.model,
                 cfg.gc,
-                cfg.channel_batch,
                 Arc::clone(&stats),
                 server,
                 Arc::clone(&exited),

@@ -22,8 +22,9 @@
 //!   ([`IndexKind::FastFair`], FlatStore-FF).
 //! * **FlatRPC fabric** ([`flatrpc`]) — per-core per-client shared-memory
 //!   request rings; every response completes through the agent core (§4.3).
-//! * **Pipelined horizontal batching** ([`ExecutionModel::PipelinedHb`]) —
-//!   plus the paper's ablation models (`NonBatch`, `Vertical`, `NaiveHb`).
+//! * **Pipelined horizontal batching** — the paper's execution model
+//!   (Figure 4d) and the only one the threaded engine runs; the Figure 4
+//!   ablation stages live in the `simkv` discrete-event model.
 //! * **Log cleaning** — version-based liveness, per-core victim selection,
 //!   index CAS re-pointing and grace-period chunk reclamation.
 //! * **Recovery** — clean-shutdown snapshot or full log scan (§3.5).
@@ -80,11 +81,10 @@
 //! # Ok::<(), flatstore::StoreError>(())
 //! ```
 //!
-//! For blocking callers, the [`KvApi`] trait is the one surface every
-//! client type implements: [`StoreHandle`] (clonable, internally
-//! synchronized) and [`Client`] (a blocking adapter over an owned
-//! [`Session`]). Code taking `&mut impl KvApi` runs unchanged over
-//! either.
+//! For blocking callers, [`StoreHandle`] (clonable, internally
+//! synchronized) implements the [`KvApi`] trait; code taking
+//! `&mut impl KvApi` also runs unchanged over the cluster layer's routed
+//! client.
 
 mod api;
 mod batch;
@@ -102,13 +102,13 @@ mod tuner;
 mod value;
 mod vindex;
 
-pub use api::{Client, KvApi};
+pub use api::KvApi;
 pub use batch::EngineStats;
-pub use config::{Config, ConfigBuilder, ExecutionModel, GcConfig, IndexKind};
+pub use config::{Config, ConfigBuilder, GcConfig, IndexKind};
 pub use engine::{FlatStore, StoreHandle};
 pub use error::StoreError;
 pub use repl::{BackupImage, ReplOp, ReplicationSink};
-pub use request::{Op, OpResult, Reply};
+pub use request::{Op, Reply};
 pub use session::{Session, Ticket};
 
 /// The one-line import for client code: the types every caller touches.
@@ -117,7 +117,7 @@ pub use session::{Session, Ticket};
 /// use flatstore::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::api::{Client, KvApi};
+    pub use crate::api::KvApi;
     pub use crate::config::Config;
     pub use crate::error::StoreError;
     pub use crate::request::{Op, Reply};

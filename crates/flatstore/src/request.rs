@@ -147,9 +147,7 @@ impl OpReq {
 /// The outcome of one submitted [`Op`], matched to its
 /// [`Ticket`](crate::Ticket) by the session.
 ///
-/// Each variant mirrors an [`Op`] variant. Also reachable under its
-/// pre-redesign name [`OpResult`], a plain type alias — existing matches
-/// on `OpResult::Put(..)` keep compiling unchanged.
+/// Each variant mirrors an [`Op`] variant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Reply {
@@ -165,10 +163,6 @@ pub enum Reply {
     /// never surfaced through the public completion API.
     Control,
 }
-
-/// Pre-redesign name of [`Reply`], kept as an alias so existing call
-/// sites (`OpResult::Get(..)` patterns included) compile unchanged.
-pub type OpResult = Reply;
 
 impl Reply {
     /// Flattens this result to `Ok(())`/`Err`, for callers that only care
@@ -187,7 +181,7 @@ impl Reply {
 /// Request envelope on the wire.
 pub(crate) type FabReq = Envelope<OpReq>;
 /// Response envelope on the wire.
-pub(crate) type FabResp = Envelope<OpResult>;
+pub(crate) type FabResp = Envelope<Reply>;
 /// The engine's fabric instantiation.
 pub(crate) type StoreFabric = flatrpc::Fabric<FabReq, FabResp>;
 /// One server core's fabric endpoint.

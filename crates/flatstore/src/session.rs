@@ -337,59 +337,6 @@ impl Session {
         self.submit_req(core, op.into_req())
     }
 
-    /// Submits a Put of `value` under `key`, copying the caller's buffer.
-    ///
-    /// Pre-redesign entry point; prefer
-    /// `submit(Op::put(key, value))` ([`Session::submit`]). Kept as a
-    /// thin wrapper for existing call sites.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::ShuttingDown`] if the engine stopped. Per-operation
-    /// failures ([`StoreError::EmptyValue`], …) surface in the completed
-    /// [`Reply`].
-    pub fn submit_put(&mut self, key: u64, value: impl AsRef<[u8]>) -> Result<Ticket, StoreError> {
-        self.submit(Op::put(key, value))
-    }
-
-    /// Submits a Get of `key`.
-    ///
-    /// Pre-redesign entry point; prefer `submit(Op::Get { key })`
-    /// ([`Session::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::ShuttingDown`] if the engine stopped.
-    pub fn submit_get(&mut self, key: u64) -> Result<Ticket, StoreError> {
-        self.submit(Op::Get { key })
-    }
-
-    /// Submits a Delete of `key`.
-    ///
-    /// Pre-redesign entry point; prefer `submit(Op::Delete { key })`
-    /// ([`Session::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::ShuttingDown`] if the engine stopped.
-    pub fn submit_delete(&mut self, key: u64) -> Result<Ticket, StoreError> {
-        self.submit(Op::Delete { key })
-    }
-
-    /// Submits a range scan over `lo..hi` with at most `limit` items
-    /// (FlatStore-M/-FF only; FlatStore-H completes with
-    /// [`StoreError::RangeUnsupported`]).
-    ///
-    /// Pre-redesign entry point; prefer
-    /// `submit(Op::Range { lo, hi, limit })` ([`Session::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::ShuttingDown`] if the engine stopped.
-    pub fn submit_range(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Ticket, StoreError> {
-        self.submit(Op::Range { lo, hi, limit })
-    }
-
     /// Harvests every completion that has arrived, in completion order
     /// (which may differ from submission order across keys).
     pub fn poll_completions(&mut self) -> Vec<(Ticket, Reply)> {

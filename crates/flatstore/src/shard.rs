@@ -23,13 +23,16 @@ use crate::batch::{
     CkptGuard, Completion, DeletedTable, EngineStats, Group, Posted, Quarantine, UsageTable,
 };
 use crate::cache::ReadCache;
-use crate::config::{ExecutionModel, GcConfig};
+use crate::config::GcConfig;
 use crate::error::StoreError;
 use crate::flight::FlightRegistry;
 use crate::repl::{ReplOp, ReplicationSink};
-use crate::request::{FabReq, OpReq, OpResult, StoreServerCore};
+use crate::request::{FabReq, OpReq, Reply, StoreServerCore};
 use crate::value::{pack, read_record, record_size, unpack, write_record};
 use crate::vindex::VolatileIndex;
+
+/// Max requests a core drains from its request rings per loop iteration.
+const POLL_BATCH: usize = 32;
 
 /// Routes `key` to its owning server core (paper §3.1: clients send
 /// requests to the core determined by the keyhash).
@@ -87,9 +90,7 @@ pub(crate) struct Shard {
     ckpt: Arc<CkptGuard>,
     group: Arc<Group>,
     slot: usize,
-    model: ExecutionModel,
     gc: GcConfig,
-    channel_batch: usize,
     stats: Arc<EngineStats>,
     server: StoreServerCore,
     /// Count of non-agent cores that finished draining; core 0 exits last,
@@ -145,9 +146,7 @@ impl Shard {
         ckpt: Arc<CkptGuard>,
         group: Arc<Group>,
         slot: usize,
-        model: ExecutionModel,
         gc: GcConfig,
-        channel_batch: usize,
         stats: Arc<EngineStats>,
         server: StoreServerCore,
         exited: Arc<AtomicUsize>,
@@ -172,9 +171,7 @@ impl Shard {
             ckpt,
             group,
             slot,
-            model,
             gc,
-            channel_batch,
             stats,
             server,
             exited,
@@ -249,19 +246,13 @@ impl Shard {
         self.inflight.is_empty() && self.deferred.is_empty() && self.staged.is_empty()
     }
 
-    fn respond(&mut self, client: ClientId, seq: u64, body: OpResult) {
+    fn respond(&mut self, client: ClientId, seq: u64, body: Reply) {
         self.respond_span(client, seq, body, None);
     }
 
     /// Responds, handing a sampled op's span back on the response
     /// envelope — the client stamps Delivery when it harvests it.
-    fn respond_span(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        body: OpResult,
-        span: Option<Box<Span>>,
-    ) {
+    fn respond_span(&mut self, client: ClientId, seq: u64, body: Reply, span: Option<Box<Span>>) {
         self.server
             .respond(client, Envelope::new(seq, body).with_span(span));
     }
@@ -277,7 +268,7 @@ impl Shard {
         ok: bool,
         detail: String,
         span: Option<Box<Span>>,
-        body: OpResult,
+        body: Reply,
     ) {
         let (trace_id, origin_ns, stamps) = match &span {
             Some(s) => (s.ctx.trace_id, s.ctx.origin_tsc, s.stamps.clone()),
@@ -301,13 +292,8 @@ impl Shard {
     }
 
     fn drain_rings(&mut self) -> bool {
-        let budget = if self.model == ExecutionModel::NonBatch {
-            1
-        } else {
-            self.channel_batch
-        };
         let mut got = false;
-        for _ in 0..budget {
+        for _ in 0..POLL_BATCH {
             match self.server.poll_stamped() {
                 Some((client, env)) => {
                     self.dispatch(client, env);
@@ -422,7 +408,7 @@ impl Shard {
                 false,
                 "reserved key".into(),
                 span,
-                OpResult::Put(Err(StoreError::ReservedKey)),
+                Reply::Put(Err(StoreError::ReservedKey)),
             );
             return;
         }
@@ -434,7 +420,7 @@ impl Shard {
                 false,
                 "empty value".into(),
                 span,
-                OpResult::Put(Err(StoreError::EmptyValue)),
+                Reply::Put(Err(StoreError::EmptyValue)),
             );
             return;
         }
@@ -458,7 +444,7 @@ impl Shard {
                         false,
                         detail,
                         span,
-                        OpResult::Put(Err(e.into())),
+                        Reply::Put(Err(e.into())),
                     );
                     return;
                 }
@@ -496,7 +482,7 @@ impl Shard {
                 true,
                 String::new(),
                 span,
-                OpResult::Delete(Ok(false)),
+                Reply::Delete(Ok(false)),
             );
             return;
         };
@@ -546,7 +532,7 @@ impl Shard {
                     true,
                     String::new(),
                     span,
-                    OpResult::Get(Ok(Some(value))),
+                    Reply::Get(Ok(Some(value))),
                 );
                 return;
             }
@@ -576,7 +562,7 @@ impl Shard {
             Ok(_) => (true, String::new()),
             Err(e) => (false, e.to_string()),
         };
-        self.finish(client, seq, "get", ok, detail, span, OpResult::Get(result));
+        self.finish(client, seq, "get", ok, detail, span, Reply::Get(result));
     }
 
     /// Consumes a decoded entry into its value bytes. Inline payloads are
@@ -629,7 +615,7 @@ impl Shard {
             ok,
             detail,
             span,
-            OpResult::Range(r.map(|()| out)),
+            Reply::Range(r.map(|()| out)),
         );
     }
 
@@ -643,47 +629,19 @@ impl Shard {
             self.pm.fence();
             self.pending_fence = false;
         }
-        match self.model {
-            ExecutionModel::PipelinedHb | ExecutionModel::NaiveHb => {
-                // Publishing is one slot store + one cursor store per op;
-                // a full list bounces the record back and this core
-                // persists the overflow itself (a vertical mini-batch) —
-                // bounded memory without ever blocking on a leader.
-                let mut overflow = Vec::new();
-                for (posted, inflight) in self.staged.drain(..) {
-                    if let Err(bounced) = self.group.post(self.slot, posted) {
-                        overflow.push(bounced);
-                    }
-                    self.inflight.push_back(inflight);
-                }
-                if !overflow.is_empty() {
-                    self.persist_posts(overflow);
-                }
-                if self.model == ExecutionModel::NaiveHb {
-                    // Figure 4(c): strictly ordered phases — the poster
-                    // blocks until its entries are durable. The agent keeps
-                    // pumping so delegating cores are never wedged.
-                    while self
-                        .inflight
-                        .iter()
-                        .any(|inf| inf.completion.poll().is_none())
-                    {
-                        self.server.pump_delegations();
-                        self.lead();
-                        std::thread::yield_now();
-                    }
-                }
+        // Publishing is one slot store + one cursor store per op; a full
+        // list bounces the record back and this core persists the overflow
+        // itself (a vertical mini-batch) — bounded memory without ever
+        // blocking on a leader.
+        let mut overflow = Vec::new();
+        for (posted, inflight) in self.staged.drain(..) {
+            if let Err(bounced) = self.group.post(self.slot, posted) {
+                overflow.push(bounced);
             }
-            ExecutionModel::Vertical | ExecutionModel::NonBatch => {
-                // No stealing: persist this core's own batch directly.
-                let staged: Vec<_> = self.staged.drain(..).collect();
-                let mut posts = Vec::with_capacity(staged.len());
-                for (posted, inflight) in staged {
-                    posts.push(posted);
-                    self.inflight.push_back(inflight);
-                }
-                self.persist_posts(posts);
-            }
+            self.inflight.push_back(inflight);
+        }
+        if !overflow.is_empty() {
+            self.persist_posts(overflow);
         }
     }
 
@@ -692,30 +650,22 @@ impl Shard {
     /// consumer token is claimed with a CAS, so there is no group lock to
     /// contend on and concurrent leaders simply partition the lists.
     fn lead(&mut self) -> bool {
-        if self.model == ExecutionModel::Vertical || self.model == ExecutionModel::NonBatch {
-            return false;
-        }
         let group = Arc::clone(&self.group);
         if group.pending.load(Ordering::Acquire) == 0 {
             return false;
         }
-        // NaiveHb pins the won tokens through the flush (Figure 4c);
-        // PipelinedHb releases each list as soon as it is drained
-        // (Figure 4d's early release, now per-list instead of per-group).
-        let hold = self.model == ExecutionModel::NaiveHb;
+        // Each list is released as soon as it is drained (Figure 4d's
+        // early release, per list instead of per group), so followers keep
+        // posting while this leader flushes.
         let mut posts = Vec::new();
-        let (held, mut own) = group.collect(self.slot, hold, &mut posts);
-        if !posts.is_empty() {
-            own += self.linger(&group, &mut posts);
-        }
+        let mut own = group.collect(self.slot, &mut posts);
         if posts.is_empty() {
-            group.release(&held);
             return false;
         }
+        own += self.linger(&group, &mut posts);
         let fill = posts.len() as u64;
         let stolen = fill.saturating_sub(own as u64);
         self.persist_posts(posts);
-        group.release(&held);
         if let Some(tuner) = group.tuner() {
             tuner.observe_batch(fill, stolen, group.backlog(self.slot), clock::now_ns());
         }
@@ -725,14 +675,10 @@ impl Shard {
     /// Adaptive leader linger: with a batch started but under-filled, keep
     /// re-sweeping until the tuner's window closes or the target fill is
     /// reached — trading bounded latency for flush amortization. Static
-    /// groups (no tuner) and NaiveHb (followers are blocked; waiting
-    /// would only stretch their stall) never linger. Returns how many of
-    /// the absorbed entries came off this leader's own list.
+    /// groups (no tuner) never linger. Returns how many of the absorbed
+    /// entries came off this leader's own list.
     fn linger(&mut self, group: &Group, posts: &mut Vec<Posted>) -> usize {
         let Some(tuner) = group.tuner() else { return 0 };
-        if self.model != ExecutionModel::PipelinedHb {
-            return 0;
-        }
         let target = tuner.target_fill() as usize;
         let linger_ns = tuner.linger_ns();
         if linger_ns == 0 || posts.len() >= target {
@@ -742,7 +688,7 @@ impl Shard {
         let deadline = std::time::Instant::now() + Duration::from_nanos(linger_ns);
         while posts.len() < target && std::time::Instant::now() < deadline {
             if group.pending.load(Ordering::Acquire) > 0 {
-                own += group.collect(self.slot, false, posts).1;
+                own += group.collect(self.slot, posts);
             } else {
                 std::hint::spin_loop();
             }
@@ -948,7 +894,7 @@ impl Shard {
                         false,
                         "out of space".into(),
                         span,
-                        OpResult::Put(Err(StoreError::OutOfSpace)),
+                        Reply::Put(Err(StoreError::OutOfSpace)),
                     );
                     return;
                 };
@@ -974,7 +920,7 @@ impl Shard {
                         true,
                         String::new(),
                         span,
-                        OpResult::Put(Ok(())),
+                        Reply::Put(Ok(())),
                     );
                     return;
                 }
@@ -1008,20 +954,12 @@ impl Shard {
                             true,
                             String::new(),
                             span,
-                            OpResult::Put(Ok(())),
+                            Reply::Put(Ok(())),
                         );
                     }
                     Err(e) => {
                         let detail = e.to_string();
-                        self.finish(
-                            client,
-                            seq,
-                            "put",
-                            false,
-                            detail,
-                            span,
-                            OpResult::Put(Err(e)),
-                        );
+                        self.finish(client, seq, "put", false, detail, span, Reply::Put(Err(e)));
                     }
                 }
             }
@@ -1045,7 +983,7 @@ impl Shard {
                         false,
                         "out of space".into(),
                         span,
-                        OpResult::Delete(Err(StoreError::OutOfSpace)),
+                        Reply::Delete(Err(StoreError::OutOfSpace)),
                     );
                     return;
                 };
@@ -1066,7 +1004,7 @@ impl Shard {
                     true,
                     String::new(),
                     span,
-                    OpResult::Delete(Ok(true)),
+                    Reply::Delete(Ok(true)),
                 );
             }
         }
@@ -1113,7 +1051,7 @@ impl Shard {
     fn answer_barriers(&mut self) {
         if self.quiet() {
             for (client, seq) in std::mem::take(&mut self.barriers) {
-                self.respond(client, seq, OpResult::Control);
+                self.respond(client, seq, Reply::Control);
             }
             if !self.ckpt_cursors.is_empty() {
                 // Record this core's checkpoint cursor: everything before
@@ -1125,7 +1063,7 @@ impl Shard {
                 // prefix (and now the cursor) is persistent.
                 self.pm.commit_point();
                 for (client, seq) in std::mem::take(&mut self.ckpt_cursors) {
-                    self.respond(client, seq, OpResult::Control);
+                    self.respond(client, seq, Reply::Control);
                 }
             }
         }

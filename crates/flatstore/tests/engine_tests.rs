@@ -1,7 +1,7 @@
-//! End-to-end engine tests: correctness across execution models and index
-//! kinds, concurrency, crash recovery, clean shutdown and log cleaning.
+//! End-to-end engine tests: correctness across index kinds, concurrency,
+//! crash recovery, clean shutdown and log cleaning.
 
-use flatstore::{Config, ExecutionModel, FlatStore, IndexKind, Op, Reply, StoreError};
+use flatstore::{Config, FlatStore, IndexKind, Op, Reply, StoreError};
 use workloads::value_bytes;
 
 fn cfg(ncores: usize) -> Config {
@@ -69,42 +69,29 @@ fn empty_values_and_reserved_keys_rejected() {
 }
 
 #[test]
-fn all_execution_models_are_correct() {
-    for model in [
-        ExecutionModel::NonBatch,
-        ExecutionModel::Vertical,
-        ExecutionModel::NaiveHb,
-        ExecutionModel::PipelinedHb,
-    ] {
-        let mut c = cfg(3);
-        c.model = model;
-        let store = FlatStore::create(c).unwrap();
-        let handle = store.handle();
-        let mut joins = Vec::new();
-        for t in 0..3u64 {
-            let h = handle.clone();
-            joins.push(std::thread::spawn(move || {
-                for i in 0..300u64 {
-                    let k = t * 1000 + i;
-                    h.put(k, value_bytes(k, 40)).unwrap();
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        for t in 0..3u64 {
+fn cloned_handles_on_three_threads_keep_every_put() {
+    let store = FlatStore::create(cfg(3)).unwrap();
+    let handle = store.handle();
+    let mut joins = Vec::new();
+    for t in 0..3u64 {
+        let h = handle.clone();
+        joins.push(std::thread::spawn(move || {
             for i in 0..300u64 {
                 let k = t * 1000 + i;
-                assert_eq!(
-                    store.get(k).unwrap(),
-                    Some(value_bytes(k, 40)),
-                    "{model:?} key {k}"
-                );
+                h.put(k, value_bytes(k, 40)).unwrap();
             }
-        }
-        assert_eq!(store.len(), 900, "{model:?}");
+        }));
     }
+    for j in joins {
+        j.join().unwrap();
+    }
+    for t in 0..3u64 {
+        for i in 0..300u64 {
+            let k = t * 1000 + i;
+            assert_eq!(store.get(k).unwrap(), Some(value_bytes(k, 40)), "key {k}");
+        }
+    }
+    assert_eq!(store.len(), 900);
 }
 
 #[test]
@@ -157,9 +144,7 @@ fn range_unsupported_on_hash() {
 
 #[test]
 fn concurrent_mixed_clients() {
-    let mut c = cfg(4);
-    c.model = ExecutionModel::PipelinedHb;
-    let store = FlatStore::create(c).unwrap();
+    let store = FlatStore::create(cfg(4)).unwrap();
     let handle = store.handle();
     let mut joins = Vec::new();
     for t in 0..6u64 {
@@ -367,9 +352,7 @@ fn out_of_space_is_an_error_not_a_crash() {
 
 #[test]
 fn pipelined_hb_batches_multiple_cores_entries() {
-    let mut c = cfg(4);
-    c.model = ExecutionModel::PipelinedHb;
-    let store = FlatStore::create(c).unwrap();
+    let store = FlatStore::create(cfg(4)).unwrap();
     let handle = store.handle();
     let mut joins = Vec::new();
     for t in 0..8u64 {

@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use flatstore::{Config, ExecutionModel, FlatStore, Op, OpResult, StoreError, Ticket};
+use flatstore::{Config, FlatStore, Op, Reply, StoreError, Ticket};
 use proptest::prelude::*;
 use workloads::value_bytes;
 
@@ -23,17 +23,17 @@ fn cfg(ncores: usize, depth: usize) -> Config {
 /// What one submitted op should complete with, per a sequential replay of
 /// the whole script. Per-key completions are promised in submission order
 /// and keys are independent, so sequential replay is the exact model.
-fn sequential_model(ops: &[(u8, u64)]) -> Vec<OpResult> {
+fn sequential_model(ops: &[(u8, u64)]) -> Vec<Reply> {
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     ops.iter()
         .enumerate()
         .map(|(i, &(op, key))| match op % 3 {
             0 => {
                 model.insert(key, value_bytes(i as u64, 24));
-                OpResult::Put(Ok(()))
+                Reply::Put(Ok(()))
             }
-            1 => OpResult::Delete(Ok(model.remove(&key).is_some())),
-            _ => OpResult::Get(Ok(model.get(&key).cloned())),
+            1 => Reply::Delete(Ok(model.remove(&key).is_some())),
+            _ => Reply::Get(Ok(model.get(&key).cloned())),
         })
         .collect()
 }
@@ -54,7 +54,7 @@ proptest! {
         let mut session = store.session().unwrap();
 
         let mut submitted: HashMap<Ticket, usize> = HashMap::new();
-        let mut completed: Vec<(Ticket, OpResult)> = Vec::new();
+        let mut completed: Vec<(Ticket, Reply)> = Vec::new();
         for (i, &(op, key)) in ops.iter().enumerate() {
             let t = match op % 3 {
                 0 => session.submit(Op::put(key, value_bytes(i as u64, 24))).unwrap(),
@@ -105,9 +105,7 @@ proptest! {
 /// amortises persists across entries (mean batch size > 1).
 #[test]
 fn pipelined_sessions_fill_hb_batches() {
-    let mut c = cfg(4, 8);
-    c.model = ExecutionModel::PipelinedHb;
-    let store = FlatStore::create(c).unwrap();
+    let store = FlatStore::create(cfg(4, 8)).unwrap();
 
     std::thread::scope(|s| {
         for client in 0..4u64 {
@@ -118,7 +116,7 @@ fn pipelined_sessions_fill_hb_batches() {
                     session.submit(Op::put(key, value_bytes(i, 32))).unwrap();
                 }
                 for (_, r) in session.wait_all().unwrap() {
-                    assert_eq!(r, OpResult::Put(Ok(())));
+                    assert_eq!(r, Reply::Put(Ok(())));
                 }
             });
         }
@@ -139,7 +137,6 @@ fn pipelined_sessions_fill_hb_batches() {
 #[test]
 fn adaptive_sessions_fill_hb_batches_and_report_tuner() {
     let mut c = cfg(4, 8);
-    c.model = ExecutionModel::PipelinedHb;
     c.adaptive = true;
     let store = FlatStore::create(c).unwrap();
 
@@ -152,7 +149,7 @@ fn adaptive_sessions_fill_hb_batches_and_report_tuner() {
                     session.submit(Op::put(key, value_bytes(i, 32))).unwrap();
                 }
                 for (_, r) in session.wait_all().unwrap() {
-                    assert_eq!(r, OpResult::Put(Ok(())));
+                    assert_eq!(r, Reply::Put(Ok(())));
                 }
             });
         }
@@ -194,9 +191,7 @@ fn static_runs_do_not_report_a_tuner_section() {
 /// take minutes, not seconds.
 #[test]
 fn backoff_does_not_throttle_a_saturated_pipeline() {
-    let mut c = cfg(2, 8);
-    c.model = ExecutionModel::PipelinedHb;
-    let store = FlatStore::create(c).unwrap();
+    let store = FlatStore::create(cfg(2, 8)).unwrap();
     let mut session = store.session().unwrap();
 
     let ops = 20_000u64;
@@ -207,7 +202,7 @@ fn backoff_does_not_throttle_a_saturated_pipeline() {
             .unwrap();
     }
     for (_, r) in session.wait_all().unwrap() {
-        assert_eq!(r, OpResult::Put(Ok(())));
+        assert_eq!(r, Reply::Put(Ok(())));
     }
     let elapsed = start.elapsed();
     drop(session);
@@ -254,42 +249,13 @@ fn sessions_error_after_shutdown() {
     assert!(matches!(handle.put(1, b"x"), Err(StoreError::ShuttingDown)));
 }
 
-/// The pre-redesign `submit_*` wrappers stay behaviour-identical to
-/// `submit(Op)` — one test pins them so the compatibility shim cannot
-/// rot while the rest of the suite moves to the typed entry point.
+/// `KvApi` drives a `StoreHandle` both through a generic bound and as a
+/// trait object.
 #[test]
-fn legacy_submit_wrappers_still_work() {
-    let store = FlatStore::create(cfg(2, 4)).unwrap();
-    let mut session = store.session().unwrap();
+fn kv_api_drives_store_handle_generically_and_as_dyn() {
+    use flatstore::KvApi;
 
-    let t = session.submit_put(5, b"legacy").unwrap();
-    assert_eq!(session.wait(t).unwrap(), OpResult::Put(Ok(())));
-    let t = session.submit_get(5).unwrap();
-    assert_eq!(
-        session.wait(t).unwrap(),
-        OpResult::Get(Ok(Some(b"legacy".to_vec())))
-    );
-    let t = session.submit_delete(5).unwrap();
-    assert_eq!(session.wait(t).unwrap(), OpResult::Delete(Ok(true)));
-    // Hash index: ranges complete with RangeUnsupported, same as Op::Range.
-    let t = session.submit_range(0, 10, 16).unwrap();
-    assert_eq!(
-        session.wait(t).unwrap(),
-        OpResult::Range(Err(StoreError::RangeUnsupported))
-    );
-
-    drop(session);
-    store.shutdown().unwrap();
-}
-
-/// `KvApi` is one surface over both blocking transports: the same
-/// generic driver runs against a `StoreHandle` and a session-backed
-/// `Client`.
-#[test]
-fn kv_api_unifies_handle_and_client() {
-    use flatstore::{Client, KvApi};
-
-    fn drive(kv: &mut impl KvApi, base: u64) {
+    fn drive(kv: &mut (impl KvApi + ?Sized), base: u64) {
         kv.put(base, b"unified").unwrap();
         assert_eq!(kv.get(base).unwrap(), Some(b"unified".to_vec()));
         assert!(kv.delete(base).unwrap());
@@ -303,13 +269,9 @@ fn kv_api_unifies_handle_and_client() {
     let store = FlatStore::create(cfg(2, 4)).unwrap();
     let mut handle = store.handle();
     drive(&mut handle, 100);
-    let mut client = Client::new(store.session().unwrap());
-    drive(&mut client, 200);
-    // Object safety: the transport can be picked at run time.
-    let mut dyn_kv: Box<dyn KvApi> = Box::new(client);
-    dyn_kv.put(300, b"dyn").unwrap();
-    assert_eq!(dyn_kv.get(300).unwrap(), Some(b"dyn".to_vec()));
+    // Object safety: the implementation can be picked at run time.
+    let mut dyn_kv: Box<dyn KvApi> = Box::new(handle);
+    drive(dyn_kv.as_mut(), 200);
     drop(dyn_kv);
-    drop(handle);
     store.shutdown().unwrap();
 }

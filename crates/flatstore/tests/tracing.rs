@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flatstore::{Config, FlatStore, Op, OpResult, ReplOp, ReplicationSink};
+use flatstore::{Config, FlatStore, Op, ReplOp, ReplicationSink, Reply};
 use obs::{Json, Stage};
 use pmem::PmAddr;
 
@@ -65,7 +65,7 @@ fn traced_put_under_replication_reports_causal_stage_chain() {
         session.submit(Op::put(k, b"traced-value")).expect("submit");
     }
     for (_, r) in session.wait_all().expect("wait_all") {
-        assert_eq!(r, OpResult::Put(Ok(())));
+        assert_eq!(r, Reply::Put(Ok(())));
     }
     assert!(sink.ops.load(Ordering::Relaxed) >= 64, "sink never shipped");
 
@@ -178,7 +178,7 @@ fn traced_get_takes_the_short_path() {
     let t = session.submit(Op::Get { key: 9 }).expect("submit");
     assert_eq!(
         session.wait(t).expect("wait"),
-        OpResult::Get(Ok(Some(b"value".to_vec())))
+        Reply::Get(Ok(Some(b"value".to_vec())))
     );
     let spans = session.drain_spans();
     let span = spans.iter().find(|s| !s.stamps.is_empty()).expect("span");

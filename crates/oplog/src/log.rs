@@ -68,7 +68,7 @@ pub struct Relocation {
 /// [`ChunkManager`]. A tiny persistent descriptor (two 8-byte words: head
 /// chunk and tail address) anchors the chain; everything else — the chunk
 /// list, the per-chunk liveness table — is volatile and rebuilt by
-/// [`recover_with`](Self::recover_with).
+/// [`recover_headers`](Self::recover_headers).
 ///
 /// ## Append path (paper's three-flush Put, steps 2–3)
 ///
@@ -150,22 +150,6 @@ impl OpLog {
     /// for the ablation benchmarks.
     pub fn set_batch_padding(&mut self, on: bool) {
         self.pad_batches = on;
-    }
-
-    /// [`recover_headers`](Self::recover_headers) over the whole log,
-    /// materialising every surviving entry (inline values copied out) for
-    /// callers that want more than the header.
-    ///
-    /// # Errors
-    ///
-    /// As for [`recover_headers`](Self::recover_headers).
-    pub fn recover_with(
-        mgr: Arc<ChunkManager>,
-        desc: PmAddr,
-        mut f: impl FnMut(LogEntry, PmAddr),
-    ) -> Result<OpLog, LogError> {
-        let pm = Arc::clone(mgr.pm());
-        Self::recover_headers(mgr, desc, None, |h, addr| f(h.load(&pm, addr), addr))
     }
 
     /// Rebuilds a log from its persistent descriptor, invoking `f` with the

@@ -145,7 +145,7 @@ fn recovery_sees_only_persisted_tail() {
         4,
     ));
     let mut recovered = Vec::new();
-    let log = OpLog::recover_with(mgr2, PmAddr(0), |e, _| recovered.push(e.key)).unwrap();
+    let log = OpLog::recover_headers(mgr2, PmAddr(0), None, |h, _| recovered.push(h.key)).unwrap();
     assert_eq!(recovered, vec![1, 2], "torn entry must not be replayed");
     assert_eq!(log.tail(), tail);
 }
@@ -172,8 +172,10 @@ fn torn_entry_before_tail_truncates_instead_of_replaying() {
     pm.persist(torn_at + 13, 1);
 
     let mut recovered = Vec::new();
-    let mut log =
-        OpLog::recover_with(Arc::clone(&mgr), PmAddr(0), |e, _| recovered.push(e.key)).unwrap();
+    let mut log = OpLog::recover_headers(Arc::clone(&mgr), PmAddr(0), None, |h, _| {
+        recovered.push(h.key)
+    })
+    .unwrap();
     assert_eq!(recovered, vec![1, 2], "torn entry must not be replayed");
     assert!(log.tail() < tail_before, "tail pulled back over the tear");
     assert_eq!(log.tail(), torn_at);
@@ -184,7 +186,7 @@ fn torn_entry_before_tail_truncates_instead_of_replaying() {
         .unwrap();
     drop(log);
     let mut again = Vec::new();
-    OpLog::recover_with(mgr, PmAddr(0), |e, _| again.push(e.key)).unwrap();
+    OpLog::recover_headers(mgr, PmAddr(0), None, |h, _| again.push(h.key)).unwrap();
     assert_eq!(again, vec![1, 2, 4]);
 }
 
@@ -208,7 +210,7 @@ fn recovery_after_rollover_walks_all_chunks() {
         6,
     ));
     let mut seen = 0u64;
-    OpLog::recover_with(mgr2, PmAddr(0), |_, _| seen += 1).unwrap();
+    OpLog::recover_headers(mgr2, PmAddr(0), None, |_, _| seen += 1).unwrap();
     assert_eq!(seen, total);
 }
 
@@ -367,7 +369,10 @@ fn tombstones_survive_the_log_round_trip() {
         4,
     ));
     let mut ops = Vec::new();
-    OpLog::recover_with(mgr2, PmAddr(0), |e, _| ops.push((e.op, e.key, e.version))).unwrap();
+    OpLog::recover_headers(mgr2, PmAddr(0), None, |h, _| {
+        ops.push((h.op, h.key, h.version))
+    })
+    .unwrap();
     assert_eq!(ops, vec![(LogOp::Put, 5, 1), (LogOp::Delete, 5, 2)]);
 }
 
@@ -386,9 +391,9 @@ fn inline_payload_contents_preserved_across_crash() {
         4,
     ));
     let mut got = None;
-    OpLog::recover_with(mgr2, PmAddr(0), |e, _| {
-        if let Payload::Inline(v) = &e.payload {
-            got = Some(v.clone());
+    OpLog::recover_headers(mgr2, PmAddr(0), None, |h, addr| {
+        if let Payload::Inline(v) = h.load(&pm, addr).payload {
+            got = Some(v);
         }
     })
     .unwrap();

@@ -59,7 +59,8 @@ proptest! {
 
         let mgr2 = Arc::new(ChunkManager::recover(Arc::clone(&pm), PmAddr(CHUNK_SIZE), 4));
         let mut replay: HashMap<u64, (u32, Option<Vec<u8>>)> = HashMap::new();
-        OpLog::recover_with(mgr2, PmAddr(0), |e, _| {
+        OpLog::recover_headers(mgr2, PmAddr(0), None, |h, addr| {
+            let e = h.load(&pm, addr);
             let newer = replay.get(&e.key).is_none_or(|(v, _)| e.version >= *v);
             if newer {
                 let val = match (&e.op, &e.payload) {

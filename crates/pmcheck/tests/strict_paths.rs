@@ -94,9 +94,9 @@ fn oplog_recovery_and_cleaning_are_checker_clean() {
     let desc = log.desc();
     drop(log);
     let mut recovered = 0usize;
-    let _log = OpLog::recover_with(mgr, desc, |_, _| recovered += 1).unwrap();
+    let _log = OpLog::recover_headers(mgr, desc, None, |_, _| recovered += 1).unwrap();
     assert!(recovered > 0, "recovery should surface surviving entries");
-    region.assert_clean("oplog recover_with");
+    region.assert_clean("oplog recover_headers");
 }
 
 #[test]

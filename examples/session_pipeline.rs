@@ -9,19 +9,18 @@
 //! ```
 
 use flatstore::prelude::*;
-use flatstore::{ExecutionModel, FlatStore};
+use flatstore::FlatStore;
 
 const CLIENTS: u64 = 4;
 const OPS_PER_CLIENT: u64 = 25_000;
 
 fn main() -> Result<(), StoreError> {
-    let mut cfg = Config::builder()
+    let cfg = Config::builder()
         .pm_bytes(512 << 20)
         .ncores(4)
         .group_size(4)
         .pipeline_depth(8)
         .build()?;
-    cfg.model = ExecutionModel::PipelinedHb;
     let store = FlatStore::create(cfg)?;
 
     let start = std::time::Instant::now();

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Full validation pipeline for the FlatStore reproduction — the same gate
-# CI runs (.github/workflows/ci.yml). Everything is --offline: the
-# workspace has no registry dependencies (std-only shims under shims/).
+# Full validation pipeline for the FlatStore reproduction — CI's `check`
+# job (.github/workflows/ci.yml) runs exactly this script. Everything is
+# --offline: the workspace has no registry dependencies (std-only shims
+# under shims/). Artifacts: target/crash-dump-test/ (flight-recorder
+# dumps from the tests) and target/smoke/{metrics,trace}.json (the
+# simulate exporters).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,10 +65,12 @@ for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
 wait "$srv_pid"
 
 echo "== observability smoke: simulate with exporters =="
+smoke=target/smoke
+mkdir -p "$smoke"
 cargo run --release --offline --example simulate -- \
-    --metrics-out "$tmpdir/metrics.json" --trace-out "$tmpdir/trace.json"
-test -s "$tmpdir/metrics.json"
-test -s "$tmpdir/trace.json"
+    --metrics-out "$smoke/metrics.json" --trace-out "$smoke/trace.json"
+test -s "$smoke/metrics.json"
+test -s "$smoke/trace.json"
 
 echo "== smoke-scale figures =="
 FLATBENCH_QUICK=1 cargo bench --workspace --offline

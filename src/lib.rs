@@ -17,4 +17,4 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results. Runnable examples live
 //! in `examples/` (`cargo run --release --example quickstart`).
 
-pub use flatstore::{Config, ExecutionModel, FlatStore, GcConfig, IndexKind, StoreError};
+pub use flatstore::{Config, FlatStore, GcConfig, IndexKind, StoreError};

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use flatstore::{Config, ExecutionModel, FlatStore, IndexKind};
+use flatstore::{Config, FlatStore, IndexKind};
 use workloads::{value_bytes, EtcWorkload, KeyDist, Op, Workload};
 
 fn cfg() -> Config {
@@ -146,7 +146,6 @@ fn clean_then_crash_paths_compose() {
 fn ordered_index_full_stack() {
     let mut c = cfg();
     c.index = IndexKind::Masstree;
-    c.model = ExecutionModel::PipelinedHb;
     let store = FlatStore::create(c).unwrap();
     for k in (0..1_000u64).step_by(2) {
         store.put(k, value_bytes(k, 33)).unwrap();
