@@ -9,7 +9,7 @@
 //! * **fat entries** — 64-byte log entries (what logging raw index updates
 //!   would cost) instead of the 16-byte compacted operation records.
 
-use flatstore_bench::{print_header, print_row, ycsb_put, Scale};
+use flatstore_bench::{mops, ycsb_put, Bench, Col, Scale};
 use simkv::{Ablation, Engine, ExecModel, SimIndex};
 
 fn main() {
@@ -41,11 +41,16 @@ fn main() {
 
     println!("== Ablation: what each §3.2 mechanism buys (Put Mops/s, uniform) ==");
     println!("(RPC ceiling relaxed so the engine differences are visible)");
-    print_header("value (B)", &variants.map(|(n, _)| n));
+    let mut bench = Bench::new("ablation");
+    bench.print_header(
+        "ablation_put_uniform",
+        "value (B)",
+        variants.map(|(n, _)| Col::mops(n)),
+    );
     // 8 B stresses entry compaction/padding; 512 B stresses the allocator.
     for len in [8usize, 64, 512] {
         let mut cells = Vec::new();
-        for (name, ablate) in variants {
+        for (_, ablate) in variants {
             let mut cfg = scale.config();
             cfg.engine = Engine::FlatStore {
                 model: ExecModel::PipelinedHb,
@@ -54,8 +59,9 @@ fn main() {
             cfg.net.nic_ns_per_msg = 5.0;
             cfg.ablate = ablate;
             cfg.workload = ycsb_put(len, false);
-            cells.push((name, flatstore_bench::mops(&cfg)));
+            cells.push(mops(&cfg));
         }
-        print_row(&format!("{len}"), &cells);
+        bench.print_row(&len.to_string(), &cells);
     }
+    bench.finish();
 }

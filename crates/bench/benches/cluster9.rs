@@ -1,423 +1,58 @@
-//! PR 9 — cluster scaling and live-migration pause (`BENCH_9.json`).
-//!
-//! Two measurements side by side:
-//!
-//! * **DES scaling** — `simkv::run_cluster` sweeps 1/2/4 replica groups
-//!   under a zipf-skewed mixed workload and reports aggregate Mops plus
-//!   the analytic hot-slot migration model (suffix-ship window vs. flip
-//!   pause). Groups run concurrently in virtual time, so this is the
-//!   throughput-vs-group-count plot the hardware testbed would produce.
-//! * **Real engine** — an actual `flatclus::Cluster` (in-process groups
-//!   over the full FlatStore stack) serves closed-loop client threads
-//!   while a hot slot migrates round-robin between groups; the
-//!   `pause_ns` histogram (the only client-visible stall, one slot's
-//!   write gate during the final suffix sliver) is checked against
-//!   `migration_ns` (the whole ship window). Wall-clock throughput per
-//!   group count is reported for completeness under a fixed shard-core
-//!   budget split across the groups (so every point runs the same number
-//!   of engine threads and the sweep is not an oversubscription sweep) —
-//!   scaling *shape* is still the DES's job, the real engine's job is
-//!   the pause bound.
-//!
-//! Writes `FLATBENCH_OUT` (default `BENCH_9.json`).
+//! Cluster scaling — `simkv::run_cluster` sweeps 1/2/4 replica groups
+//! under a zipf-skewed mixed workload and reports aggregate Mops plus
+//! the analytic hot-slot migration model (suffix-ship window vs. flip
+//! pause). Groups run concurrently in virtual time, so this is the
+//! throughput-vs-group-count plot the hardware testbed would produce.
+//! The real engine's live migration is checked for correctness by
+//! `flatclus/tests/cluster_tests.rs`, not timed here.
 
-use std::time::Instant;
-
-use flatclus::{Cluster, ClusterConfig};
-use flatstore::{Config, KvApi};
-use flatstore_bench::{print_header, print_row, Scale};
-use simkv::{run_cluster, ClusterSimConfig, ClusterSummary, SimConfig, WorkloadSpec};
-use workloads::{KeyDist, Op, Workload};
+use flatstore_bench::{Bench, Col, Scale};
+use simkv::{run_cluster, ClusterSimConfig, WorkloadSpec};
+use workloads::KeyDist;
 
 const GROUP_COUNTS: [usize; 3] = [1, 2, 4];
-const VALUE_LEN: usize = 64;
-const PUT_RATIO: f64 = 0.5;
-
-/// Real-engine run sizes: (keyspace, ops per client thread, client
-/// threads, migrations under load). Client threads are capped by the
-/// host's parallelism for the same reason as [`cores_per_group`]: extra
-/// threads on a small host only add scheduler noise to the pause
-/// percentiles.
-fn real_scale(quick: bool) -> (u64, u64, usize, usize) {
-    let host = std::thread::available_parallelism().map_or(2, |n| n.get());
-    if quick {
-        (3_000, 1_500, 2, 3)
-    } else {
-        (8_000, 6_000, 3.min(host.max(2)), 6)
-    }
-}
-
-struct RealPoint {
-    groups: usize,
-    ncores_per_group: usize,
-    ops: u64,
-    elapsed_ns: u64,
-    mops: f64,
-}
-
-struct RealMigration {
-    groups: usize,
-    completed: u64,
-    aborted: u64,
-    mig_ops: u64,
-    double_writes: u64,
-    redirects: u64,
-    pause_p50_ns: u64,
-    pause_p99_ns: u64,
-    window_p50_ns: u64,
-    window_p99_ns: u64,
-}
-
-/// Engine cores per group, sized so the whole cluster's shard threads fit
-/// the host: half the physical cores (clamped to [2, 4]) are the shard
-/// budget — the other half serves client threads — and the budget is
-/// split across groups. A fixed per-group core count instead makes the
-/// group sweep an oversubscription sweep: 4 groups × 2 cores time-share a
-/// small host and lose to 1 × 2, which says nothing about the cluster.
-fn cores_per_group(groups: usize) -> usize {
-    let host = std::thread::available_parallelism().map_or(2, |n| n.get());
-    let budget = (host / 2).clamp(2, 4);
-    (budget / groups).max(1)
-}
-
-fn engine_cfg(groups: usize) -> Config {
-    let ncores = cores_per_group(groups);
-    Config::builder()
-        .pm_bytes(48 << 20)
-        .dram_bytes(8 << 20)
-        .ncores(ncores)
-        .group_size(ncores)
-        .build()
-        .expect("valid engine config")
-}
-
-fn cluster_cfg(groups: usize) -> ClusterConfig {
-    ClusterConfig {
-        groups,
-        nslots: 64,
-        replicated: false,
-        engine: engine_cfg(groups),
-    }
-}
-
-fn drive(client: &mut flatclus::ClusterClient, w: &mut Workload, n: u64) -> u64 {
-    let mut done = 0;
-    for _ in 0..n {
-        match w.next_op() {
-            Op::Put { key, value_len } => {
-                let v = workloads::value_bytes(key, value_len);
-                client.put(key, &v).expect("cluster put");
-            }
-            Op::Get { key } => {
-                client.get(key).expect("cluster get");
-            }
-            Op::Delete { key } => {
-                client.delete(key).expect("cluster delete");
-            }
-        }
-        done += 1;
-    }
-    done
-}
-
-fn workload(keyspace: u64, seed: u64) -> Workload {
-    Workload::new(
-        keyspace,
-        KeyDist::Zipfian { theta: 0.99 },
-        VALUE_LEN,
-        PUT_RATIO,
-        seed,
-    )
-}
-
-/// Closed-loop throughput of a real cluster at `groups` groups.
-fn run_real(groups: usize, keyspace: u64, ops_per_thread: u64, threads: usize) -> RealPoint {
-    let cluster = Cluster::create(cluster_cfg(groups)).expect("cluster create");
-    // Preload so Gets hit data and the logs have suffix to ship.
-    {
-        let mut c = cluster.client().expect("client");
-        for key in 0..keyspace.min(2_000) {
-            let v = workloads::value_bytes(key, VALUE_LEN);
-            c.put(key, &v).expect("preload put");
-        }
-    }
-    let start = Instant::now();
-    let ops: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let cluster = &cluster;
-                s.spawn(move || {
-                    let mut client = cluster.client().expect("client");
-                    let mut w = workload(keyspace, 0x9000 + t as u64);
-                    drive(&mut client, &mut w, ops_per_thread)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).sum()
-    });
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    cluster.shutdown().expect("shutdown");
-    RealPoint {
-        groups,
-        ncores_per_group: cores_per_group(groups),
-        ops,
-        elapsed_ns,
-        mops: ops as f64 / elapsed_ns as f64 * 1e3,
-    }
-}
-
-/// Migrates a hot slot round-robin between groups while client threads
-/// keep the cluster under load; returns the pause/window histograms.
-fn run_real_migration(
-    groups: usize,
-    keyspace: u64,
-    ops_per_thread: u64,
-    threads: usize,
-    migrations: usize,
-) -> RealMigration {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let cluster = Cluster::create(cluster_cfg(groups)).expect("cluster create");
-    {
-        let mut c = cluster.client().expect("client");
-        for key in 0..keyspace.min(2_000) {
-            let v = workloads::value_bytes(key, VALUE_LEN);
-            c.put(key, &v).expect("preload put");
-        }
-    }
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let cluster = &cluster;
-            let stop = &stop;
-            s.spawn(move || {
-                let mut client = cluster.client().expect("client");
-                let mut w = workload(keyspace, 0xa000 + t as u64);
-                let mut done = 0;
-                // Minimum work keeps the run meaningful even if the
-                // migrations finish instantly; then drain on `stop`.
-                while done < ops_per_thread || !stop.load(Ordering::Acquire) {
-                    done += drive(&mut client, &mut w, 64);
-                }
-            });
-        }
-        // The hottest scrambled-zipf key is arbitrary; any busy slot
-        // demonstrates the bound. Use key 0's slot and chase it.
-        let slot = cluster.slot_of(0);
-        for _ in 0..migrations {
-            let to = (cluster.owner_of(slot) + 1) % groups as u16;
-            cluster.migrate(slot, to).expect("migrate under load");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        stop.store(true, Ordering::Release);
-    });
-    let st = cluster.stats();
-    let out = RealMigration {
-        groups,
-        completed: st.migrations_completed.get(),
-        aborted: st.migrations_aborted.get(),
-        mig_ops: st.mig_ops.get(),
-        double_writes: st.double_writes.get(),
-        redirects: st.redirects.get(),
-        pause_p50_ns: st.pause_ns.percentile(0.50),
-        pause_p99_ns: st.pause_ns.percentile(0.99),
-        window_p50_ns: st.migration_ns.percentile(0.50),
-        window_p99_ns: st.migration_ns.percentile(0.99),
-    };
-    cluster.shutdown().expect("shutdown");
-    out
-}
-
-fn sim_base(scale: &Scale) -> SimConfig {
-    let mut base = scale.config();
-    base.workload = WorkloadSpec::Ycsb {
-        dist: KeyDist::Zipfian { theta: 0.99 },
-        value_len: VALUE_LEN,
-        put_ratio: PUT_RATIO,
-    };
-    base
-}
-
-fn json_real(p: &RealPoint) -> String {
-    format!(
-        concat!(
-            "    {{\"groups\": {}, \"ncores_per_group\": {}, \"ops\": {}, ",
-            "\"elapsed_ns\": {}, \"mops\": {:.6}}}"
-        ),
-        p.groups, p.ncores_per_group, p.ops, p.elapsed_ns, p.mops
-    )
-}
-
-fn json_sim(s: &ClusterSummary) -> String {
-    format!(
-        concat!(
-            "    {{\"groups\": {}, \"ops\": {}, \"mops\": {:.6}, ",
-            "\"p99_ns\": {:.0}, \"hot_slot_share\": {:.6}, ",
-            "\"migration\": {{\"slot_keys\": {}, \"window_ns\": {:.0}, ",
-            "\"pause_ns\": {:.0}, \"final_ops\": {:.1}}}}}"
-        ),
-        s.groups,
-        s.ops,
-        s.mops,
-        s.p99_ns,
-        s.hot_slot_share,
-        s.migration.slot_keys,
-        s.migration.window_ns,
-        s.migration.pause_ns,
-        s.migration.final_ops,
-    )
-}
 
 fn main() {
     let scale = Scale::from_env();
-    let quick = std::env::var("FLATBENCH_QUICK").is_ok_and(|v| v != "0");
-    let (keyspace, ops_per_thread, threads, migrations) = real_scale(quick);
-
     println!(
         "== BENCH cluster: throughput vs groups + migration pause, zipf 0.99, 64 B, 50 % Put =="
     );
 
-    // DES sweep: the scaling plot.
-    let base = sim_base(&scale);
-    let sims: Vec<ClusterSummary> = GROUP_COUNTS
-        .iter()
-        .map(|&groups| {
-            run_cluster(&ClusterSimConfig {
-                groups,
-                nslots: workloads::NSLOTS,
-                base: base.clone(),
-            })
-        })
-        .collect();
-    print_header(
+    let mut base = scale.config();
+    base.workload = WorkloadSpec::Ycsb {
+        dist: KeyDist::Zipfian { theta: 0.99 },
+        value_len: 64,
+        put_ratio: 0.5,
+    };
+    let mut bench = Bench::new("cluster9");
+    bench.print_header(
+        "cluster_scaling",
         "sim groups",
-        &["Mops", "p99 us", "hot share", "window ms", "pause us"],
+        [
+            Col::headed("Mops", "cluster", "mops"),
+            Col::headed("p99 us", "cluster", "p99_us"),
+            Col::headed("hot share", "cluster", "hot_slot_share"),
+            Col::headed("window ms", "migration", "window_ms"),
+            Col::headed("pause us", "migration", "pause_us"),
+        ],
     );
-    for s in &sims {
-        print_row(
-            &format!("{}", s.groups),
+    for groups in GROUP_COUNTS {
+        let s = run_cluster(&ClusterSimConfig {
+            groups,
+            nslots: workloads::NSLOTS,
+            base: base.clone(),
+        });
+        bench.print_row(
+            &groups.to_string(),
             &[
-                ("", s.mops),
-                ("", s.p99_ns / 1e3),
-                ("", s.hot_slot_share),
-                ("", s.migration.window_ns / 1e6),
-                ("", s.migration.pause_ns / 1e3),
+                s.mops,
+                s.p99_ns / 1e3,
+                s.hot_slot_share,
+                s.migration.window_ns / 1e6,
+                s.migration.pause_ns / 1e3,
             ],
         );
     }
     println!();
-
-    // Real engine: throughput per group count (informational on a
-    // time-shared host) and the pause-vs-window bound under load.
-    let reals: Vec<RealPoint> = GROUP_COUNTS
-        .iter()
-        .map(|&g| run_real(g, keyspace, ops_per_thread, threads))
-        .collect();
-    print_header("real groups", &["Mops", "ops", "elapsed ms"]);
-    for p in &reals {
-        print_row(
-            &format!("{}", p.groups),
-            &[
-                ("", p.mops),
-                ("", p.ops as f64),
-                ("", p.elapsed_ns as f64 / 1e6),
-            ],
-        );
-    }
-    println!();
-
-    let mig = run_real_migration(
-        *GROUP_COUNTS.last().expect("non-empty sweep"),
-        keyspace,
-        ops_per_thread,
-        threads,
-        migrations,
-    );
-    println!(
-        "real migration x{} over {} groups: pause p50 {} us / p99 {} us, window p50 {} us / p99 {} us",
-        mig.completed,
-        mig.groups,
-        mig.pause_p50_ns / 1_000,
-        mig.pause_p99_ns / 1_000,
-        mig.window_p50_ns / 1_000,
-        mig.window_p99_ns / 1_000,
-    );
-    println!(
-        "  shipped {} ops in-stream, {} double-writes, {} redirects, {} aborted",
-        mig.mig_ops, mig.double_writes, mig.redirects, mig.aborted,
-    );
-    let bounded = mig.pause_p99_ns < mig.window_p50_ns.max(1);
-    println!(
-        "  pause p99 {} window p50: migration {} stop-the-world",
-        if bounded { "<" } else { ">=" },
-        if bounded { "is not" } else { "LOOKS LIKE" },
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"cluster_scaling_and_migration\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        concat!(
-            "  \"workload\": {{\"dist\": \"zipfian\", \"theta\": 0.99, ",
-            "\"value_len\": {}, \"put_ratio\": {}}},\n"
-        ),
-        VALUE_LEN, PUT_RATIO
-    ));
-    json.push_str(&format!(
-        concat!(
-            "  \"sim_scale\": {{\"keyspace\": {}, \"ops\": {}, \"warmup\": {}, ",
-            "\"ncores_per_group\": {}, \"clients\": {}, \"nslots\": {}}},\n"
-        ),
-        scale.keyspace,
-        scale.ops,
-        scale.warmup,
-        scale.ncores,
-        scale.clients,
-        workloads::NSLOTS
-    ));
-    json.push_str("  \"sim\": [\n");
-    let rows: Vec<String> = sims.iter().map(json_sim).collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        concat!(
-            "  \"real_scale\": {{\"keyspace\": {}, \"ops_per_thread\": {}, ",
-            "\"threads\": {}, \"shard_core_budget\": {}, \"nslots\": 64, ",
-            "\"replicated\": false}},\n"
-        ),
-        keyspace,
-        ops_per_thread,
-        threads,
-        cores_per_group(1)
-    ));
-    json.push_str("  \"real\": [\n");
-    let rows: Vec<String> = reals.iter().map(json_real).collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        concat!(
-            "  \"real_migration\": {{\"groups\": {}, \"completed\": {}, ",
-            "\"aborted\": {}, \"mig_ops\": {}, \"double_writes\": {}, ",
-            "\"redirects\": {}, \"pause_p50_ns\": {}, \"pause_p99_ns\": {}, ",
-            "\"window_p50_ns\": {}, \"window_p99_ns\": {}, ",
-            "\"pause_p99_below_window_p50\": {}}}\n"
-        ),
-        mig.groups,
-        mig.completed,
-        mig.aborted,
-        mig.mig_ops,
-        mig.double_writes,
-        mig.redirects,
-        mig.pause_p50_ns,
-        mig.pause_p99_ns,
-        mig.window_p50_ns,
-        mig.window_p99_ns,
-        bounded
-    ));
-    json.push_str("}\n");
-
-    let out = std::env::var("FLATBENCH_OUT").unwrap_or_else(|_| "BENCH_9.json".into());
-    std::fs::write(&out, &json).expect("write BENCH_9.json");
-    println!("\nwrote {out}");
+    bench.finish();
 }

@@ -4,7 +4,7 @@
 //!     thread count grows; (b) sequential vs. random 256 B write bandwidth;
 //! (c) write latency for Seq / Rnd / In-place patterns.
 
-use flatstore_bench::Scale;
+use flatstore_bench::{Bench, Col, Scale};
 use simkv::probe::{write_bandwidth, write_latency, write_throughput_mops, Pattern};
 use simkv::{BaselineKind, CostParams, Engine, SimConfig, WorkloadSpec};
 use workloads::KeyDist;
@@ -32,37 +32,54 @@ fn main() {
     let scale = Scale::from_env();
     let p = CostParams::default();
     let ops = 20_000;
+    let mut bench = Bench::new("fig1");
 
     println!("== Figure 1(a): Optane 64B random writes vs FAST&FAIR Put (Mops/s) ==");
-    println!(
-        "{:<10} {:>14} {:>14} {:>8}",
-        "threads", "Optane-64B", "FAST&FAIR", "ratio"
-    );
+    bench
+        .table(
+            "fig1a_random_write_vs_put",
+            10,
+            vec![
+                Col::mops("Optane-64B").fmt(14, 2),
+                Col::mops("FAST&FAIR").fmt(14, 2),
+                Col::new("ratio", "x").fmt(7, 1).suffix("x"),
+            ],
+        )
+        .header("threads", "");
     for threads in [1usize, 2, 4, 8, 12, 16, 20] {
         let raw = write_throughput_mops(&p, threads, 64, ops);
         let ff = fastfair_put_mops(threads, &scale);
-        println!(
-            "{threads:<10} {raw:>14.2} {ff:>14.2} {:>7.1}x",
-            raw / ff.max(1e-9)
-        );
+        bench.print_row(&threads.to_string(), &[raw, ff, raw / ff.max(1e-9)]);
     }
 
     println!();
     println!("== Figure 1(b): 256B write bandwidth (GB/s) ==");
-    println!("{:<10} {:>12} {:>12}", "threads", "Write-Seq", "Write-Rnd");
+    bench
+        .table(
+            "fig1b_write_bandwidth_256b",
+            10,
+            vec![Col::new("Write-Seq", "gbps"), Col::new("Write-Rnd", "gbps")],
+        )
+        .header("threads", "");
     for threads in [1usize, 2, 4, 8, 12, 16, 20, 24, 32, 40] {
         let seq = write_bandwidth(&p, threads, 256, true, ops);
         let rnd = write_bandwidth(&p, threads, 256, false, ops);
-        println!("{threads:<10} {seq:>12.2} {rnd:>12.2}");
+        bench.print_row(&threads.to_string(), &[seq, rnd]);
     }
 
     println!();
     println!("== Figure 1(c): write latency (ns) ==");
+    bench.table(
+        "fig1c_write_latency",
+        10,
+        vec![Col::new("write", "ns").fmt(10, 0)],
+    );
     for (name, pat) in [
         ("Seq", Pattern::Seq),
         ("Rnd", Pattern::Rnd),
         ("In-place", Pattern::InPlace),
     ] {
-        println!("{name:<10} {:>10.0}", write_latency(&p, pat, 50_000));
+        bench.print_row(name, &[write_latency(&p, pat, 50_000)]);
     }
+    bench.finish();
 }

@@ -2,7 +2,7 @@
 //! 100 % Put, 64 B values, uniform and skewed keys. Cores are spread over
 //! two sockets; the HB group size grows with the per-socket core count.
 
-use flatstore_bench::{print_header, print_row, ycsb_put, Scale};
+use flatstore_bench::{mops, ycsb_put, Bench, Col, Scale};
 use simkv::{Engine, ExecModel, SimIndex};
 
 fn main() {
@@ -14,7 +14,12 @@ fn main() {
         .collect();
 
     println!("== Figure 10: throughput with varying server cores (Mops/s) ==");
-    print_header("cores", &["FS-H uni", "FS-H skew", "FS-M uni", "FS-M skew"]);
+    let mut bench = Bench::new("fig10");
+    bench.print_header(
+        "fig10_core_scaling",
+        "cores",
+        ["FS-H uni", "FS-H skew", "FS-M uni", "FS-M skew"].map(Col::mops),
+    );
     for &cores in &steps {
         let mut cells = Vec::new();
         // Header order: hash-uni, hash-skew, mass-uni, mass-skew.
@@ -29,9 +34,10 @@ fn main() {
                 cfg.group_size = cores.div_ceil(2).max(1);
                 cfg.clients = (cores * 8).max(16);
                 cfg.workload = ycsb_put(64, skew);
-                cells.push(("", flatstore_bench::mops(&cfg)));
+                cells.push(mops(&cfg));
             }
         }
-        print_row(&format!("{cores}"), &cells);
+        bench.print_row(&cores.to_string(), &cells);
     }
+    bench.finish();
 }

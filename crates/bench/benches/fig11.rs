@@ -2,7 +2,7 @@
 //! (compacted log, no batching) vs +Naive HB vs +Pipelined HB, 100 % Put,
 //! uniform keys, 8/64/128 B values.
 
-use flatstore_bench::{mops, print_header, print_row, ycsb_put, Scale};
+use flatstore_bench::{mops, ycsb_put, Bench, Col, Scale};
 use simkv::{BaselineKind, Engine, ExecModel, SimIndex};
 
 fn main() {
@@ -34,17 +34,23 @@ fn main() {
 
     println!("== Figure 11: benefit of each optimization (Put Mops/s, uniform) ==");
     println!("(RPC ceiling relaxed so the storage-engine differences are visible)");
-    print_header("value (B)", &systems.map(|(n, _)| n));
+    let mut bench = Bench::new("fig11");
+    bench.print_header(
+        "fig11_put_uniform",
+        "value (B)",
+        systems.map(|(n, _)| Col::mops(n)),
+    );
     for len in [8usize, 64, 128] {
         let mut cells = Vec::new();
-        for (name, engine) in systems {
+        for (_, engine) in systems {
             let mut cfg = scale.config();
             cfg.engine = engine;
             // Isolate the persistence engine from the shared NIC cap.
             cfg.net.nic_ns_per_msg = 5.0;
             cfg.workload = ycsb_put(len, false);
-            cells.push((name, mops(&cfg)));
+            cells.push(mops(&cfg));
         }
-        print_row(&format!("{len}"), &cells);
+        bench.print_row(&len.to_string(), &cells);
     }
+    bench.finish();
 }

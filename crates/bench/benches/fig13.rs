@@ -2,7 +2,7 @@
 //! constrained PM pool; throughput and cleaning rate over time once the
 //! cleaner engages.
 
-use flatstore_bench::Scale;
+use flatstore_bench::{Bench, Col, Scale};
 use simkv::{Engine, ExecModel, SimIndex, WorkloadSpec};
 
 fn main() {
@@ -34,21 +34,28 @@ fn main() {
 
     println!("== Figure 13: GC efficiency (ETC, 50% Get, constrained pool) ==");
     let s = simkv::run(&cfg);
-    println!("{}", s.report("fig13 FlatStore-H (ETC, GC)"));
-    println!(
-        "{:<12} {:>14} {:>16}",
-        "t (ms)", "Mops/s", "chunks cleaned/s"
-    );
+    let mut bench = Bench::new("fig13");
+    bench.print_report(s.report("fig13 FlatStore-H (ETC, GC)"));
+    bench
+        .table(
+            "fig13_gc_timeline",
+            12,
+            [
+                Col::headed("Mops/s", "FlatStore-H", "mops").fmt(14, 2),
+                Col::headed("chunks cleaned/s", "cleaner", "chunks_per_s").fmt(16, 0),
+            ],
+        )
+        .header("t (ms)", "");
     let window_s = 2e-3;
     for w in &s.timeline {
-        println!(
-            "{:<12.1} {:>14.2} {:>16.0}",
-            w.start_s * 1e3,
-            w.ops as f64 / window_s / 1e6,
-            w.gc_chunks as f64 / window_s
+        bench.print_row(
+            &format!("{:.1}", w.start_s * 1e3),
+            &[w.ops as f64 / window_s / 1e6, w.gc_chunks as f64 / window_s],
         );
     }
     let total_cleaned: u64 = s.timeline.iter().map(|w| w.gc_chunks).sum();
     println!("total chunks cleaned: {total_cleaned}");
+    bench.row("cleaner/total_chunks", total_cleaned);
     assert!(total_cleaned > 0, "GC never engaged — shrink the pool");
+    bench.finish();
 }

@@ -1,12 +1,13 @@
 //! Figure 7 — Put performance of FlatStore-H vs CCEH vs Level-Hashing,
 //! uniform and zipfian(0.99) key popularity, value sizes 8 B – 1 KB.
 
-use flatstore_bench::{mops, print_header, print_row, ycsb_put, Scale};
+use flatstore_bench::{mops, ycsb_put, Bench, Col, Scale};
 use simkv::{BaselineKind, Engine, ExecModel, SimIndex};
 
 fn main() {
     let scale = Scale::from_env();
     let sizes = [8usize, 64, 128, 256, 512, 1024];
+    let mut bench = Bench::new("fig7");
     let systems: [(&str, Engine); 3] = [
         (
             "FlatStore-H",
@@ -22,19 +23,23 @@ fn main() {
         ),
     ];
 
-    for (title, skew) in [("(a) Uniform", false), ("(b) Skew (zipf 0.99)", true)] {
+    for (title, section, skew) in [
+        ("(a) Uniform", "fig7a_put_uniform", false),
+        ("(b) Skew (zipf 0.99)", "fig7b_put_zipf", true),
+    ] {
         println!("== Figure 7{title}: Put throughput (Mops/s) ==");
-        print_header("value (B)", &systems.map(|(n, _)| n));
+        bench.print_header(section, "value (B)", systems.map(|(n, _)| Col::mops(n)));
         for &len in &sizes {
             let mut cells = Vec::new();
-            for (name, engine) in systems {
+            for (_, engine) in systems {
                 let mut cfg = scale.config();
                 cfg.engine = engine;
                 cfg.workload = ycsb_put(len, skew);
-                cells.push((name, mops(&cfg)));
+                cells.push(mops(&cfg));
             }
-            print_row(&format!("{len}"), &cells);
+            bench.print_row(&len.to_string(), &cells);
         }
         println!();
     }
+    bench.finish();
 }

@@ -1,12 +1,13 @@
 //! Figure 8 — Put performance of FlatStore-M / FlatStore-FF vs FPTree vs
 //! FAST&FAIR (the tree family), uniform and zipfian keys, 8 B – 1 KB.
 
-use flatstore_bench::{mops, print_header, print_row, ycsb_put, Scale};
+use flatstore_bench::{mops, ycsb_put, Bench, Col, Scale};
 use simkv::{BaselineKind, Engine, ExecModel, SimIndex};
 
 fn main() {
     let scale = Scale::from_env();
     let sizes = [8usize, 64, 128, 256, 512, 1024];
+    let mut bench = Bench::new("fig8");
     let systems: [(&str, Engine); 4] = [
         (
             "FlatStore-M",
@@ -26,19 +27,23 @@ fn main() {
         ("FAST&FAIR", Engine::Baseline(BaselineKind::FastFair)),
     ];
 
-    for (title, skew) in [("(a) Uniform", false), ("(b) Skew (zipf 0.99)", true)] {
+    for (title, section, skew) in [
+        ("(a) Uniform", "fig8a_put_uniform", false),
+        ("(b) Skew (zipf 0.99)", "fig8b_put_zipf", true),
+    ] {
         println!("== Figure 8{title}: Put throughput (Mops/s) ==");
-        print_header("value (B)", &systems.map(|(n, _)| n));
+        bench.print_header(section, "value (B)", systems.map(|(n, _)| Col::mops(n)));
         for &len in &sizes {
             let mut cells = Vec::new();
-            for (name, engine) in systems {
+            for (_, engine) in systems {
                 let mut cfg = scale.config();
                 cfg.engine = engine;
                 cfg.workload = ycsb_put(len, skew);
-                cells.push((name, mops(&cfg)));
+                cells.push(mops(&cfg));
             }
-            print_row(&format!("{len}"), &cells);
+            bench.print_row(&len.to_string(), &cells);
         }
         println!();
     }
+    bench.finish();
 }

@@ -1,7 +1,7 @@
 //! Figure 9 — Facebook ETC pool (trimodal sizes, zipfian tiny/small keys)
 //! at Put:Get ratios 100:0, 50:50 and 5:95.
 
-use flatstore_bench::{mops, print_header, print_row, Scale};
+use flatstore_bench::{mops, Bench, Col, Scale};
 use simkv::{BaselineKind, Engine, ExecModel, SimIndex, WorkloadSpec};
 
 fn main() {
@@ -34,30 +34,29 @@ fn main() {
         ("CCEH", Engine::Baseline(BaselineKind::Cceh)),
     ];
 
-    println!("== Figure 9(a): ETC, tree-based systems (Mops/s) ==");
-    print_header("Put:Get", &tree.map(|(n, _)| n));
-    for (label, put_ratio) in ratios {
-        let mut cells = Vec::new();
-        for (name, engine) in tree {
-            let mut cfg = scale.config();
-            cfg.engine = engine;
-            cfg.workload = WorkloadSpec::Etc { put_ratio };
-            cells.push((name, mops(&cfg)));
+    let mut bench = Bench::new("fig9");
+    for (i, (title, section, systems)) in [
+        ("(a): ETC, tree-based", "fig9a_etc_tree", tree),
+        ("(b): ETC, hash-based", "fig9b_etc_hash", hash),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        if i > 0 {
+            println!();
         }
-        print_row(label, &cells);
-    }
-    println!();
-
-    println!("== Figure 9(b): ETC, hash-based systems (Mops/s) ==");
-    print_header("Put:Get", &hash.map(|(n, _)| n));
-    for (label, put_ratio) in ratios {
-        let mut cells = Vec::new();
-        for (name, engine) in hash {
-            let mut cfg = scale.config();
-            cfg.engine = engine;
-            cfg.workload = WorkloadSpec::Etc { put_ratio };
-            cells.push((name, mops(&cfg)));
+        println!("== Figure 9{title} systems (Mops/s) ==");
+        bench.print_header(section, "Put:Get", systems.map(|(n, _)| Col::mops(n)));
+        for (label, put_ratio) in ratios {
+            let mut cells = Vec::new();
+            for (_, engine) in systems {
+                let mut cfg = scale.config();
+                cfg.engine = engine;
+                cfg.workload = WorkloadSpec::Etc { put_ratio };
+                cells.push(mops(&cfg));
+            }
+            bench.print_row(label, &cells);
         }
-        print_row(label, &cells);
     }
+    bench.finish();
 }

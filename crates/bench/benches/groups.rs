@@ -5,7 +5,7 @@
 //! performance." The paper states this without a figure; this harness
 //! regenerates the trade-off curve.
 
-use flatstore_bench::{run, ycsb_put, Scale};
+use flatstore_bench::{run, ycsb_put, Bench, Col, Scale};
 use simkv::{Engine, ExecModel, SimIndex};
 
 fn main() {
@@ -14,10 +14,18 @@ fn main() {
     println!(
         "== HB group-size sweep: {cores} cores, 64 B values, 100 % Put (RPC ceiling relaxed) =="
     );
-    println!(
-        "{:<12} {:>12} {:>12} {:>12}",
-        "group size", "Mops/s", "avg batch", "p99 (us)"
-    );
+    let mut bench = Bench::new("groups");
+    bench
+        .table(
+            "hb_group_size",
+            12,
+            [
+                Col::headed("Mops/s", "FlatStore-H", "mops"),
+                Col::headed("avg batch", "FlatStore-H", "avg_batch").fmt(12, 1),
+                Col::headed("p99 (us)", "FlatStore-H", "p99_us").fmt(12, 1),
+            ],
+        )
+        .header("group size", "");
     let mut sizes: Vec<usize> = vec![1, 2, 4];
     let mut g = 8;
     while g < cores {
@@ -39,13 +47,8 @@ fn main() {
         cfg.net.nic_ns_per_msg = 5.0;
         cfg.workload = ycsb_put(64, false);
         let s = run(&cfg);
-        println!(
-            "{:<12} {:>12.2} {:>12.1} {:>12.1}",
-            group,
-            s.mops,
-            s.avg_batch,
-            s.p99_ns / 1e3
-        );
+        bench.print_row(&group.to_string(), &[s.mops, s.avg_batch, s.p99_ns / 1e3]);
     }
     println!("(group size 1 degenerates to vertical batching)");
+    bench.finish();
 }

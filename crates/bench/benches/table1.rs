@@ -5,10 +5,11 @@
 
 use std::sync::Arc;
 
+use flatstore_bench::{Bench, Col};
 use indexes::{Cceh, FastFair, FpTree, Index, LevelHash, Mode};
 use pmem::{PmAddr, PmRegion};
 
-fn profile(name: &str, desc: &str, idx: &mut dyn Index, pm: &PmRegion) {
+fn profile(bench: &mut Bench, name: &str, desc: &str, idx: &mut dyn Index, pm: &PmRegion) {
     // Load phase.
     for k in 0..20_000u64 {
         idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k).unwrap();
@@ -19,24 +20,32 @@ fn profile(name: &str, desc: &str, idx: &mut dyn Index, pm: &PmRegion) {
         idx.insert(k.wrapping_mul(0xD1B54A32D192ED03), k).unwrap();
     }
     let d = pm.stats().snapshot().delta(&before);
-    println!(
-        "{name:<14} {:>11.2} {:>11.2}   {desc}",
-        d.flushes as f64 / ops as f64,
-        d.fences as f64 / ops as f64,
+    bench.print_row_note(
+        name,
+        &[d.flushes as f64 / ops as f64, d.fences as f64 / ops as f64],
+        desc,
     );
 }
 
 fn main() {
     println!("== Table 1: compared index schemes ==");
-    println!(
-        "{:<14} {:>11} {:>11}   structure",
-        "scheme", "flushes/Put", "fences/Put"
-    );
+    let mut bench = Bench::new("table1");
+    bench
+        .table(
+            "table1_index_persistence",
+            14,
+            [
+                Col::headed("flushes/Put", "flushes", "per_put").fmt(11, 2),
+                Col::headed("fences/Put", "fences", "per_put").fmt(11, 2),
+            ],
+        )
+        .header("scheme", "structure");
     println!("{}", "-".repeat(100));
 
     let pm = Arc::new(PmRegion::new(512 << 20));
     let mut cceh = Cceh::new(Arc::clone(&pm), PmAddr(0), 128 << 20, Mode::Persistent, 4).unwrap();
     profile(
+        &mut bench,
         "CCEH",
         "three level (directory, segments, buckets), 4 slots in a bucket",
         &mut cceh,
@@ -53,6 +62,7 @@ fn main() {
     )
     .unwrap();
     profile(
+        &mut bench,
         "Level-Hashing",
         "two-level (top/bottom level), 4 slots in a bucket",
         &mut level,
@@ -62,6 +72,7 @@ fn main() {
     let pm = Arc::new(PmRegion::new(512 << 20));
     let mut ff = FastFair::new(Arc::clone(&pm), PmAddr(0), 256 << 20, Mode::Persistent).unwrap();
     profile(
+        &mut bench,
         "FAST&FAIR",
         "B+-tree, all nodes are placed in PM",
         &mut ff,
@@ -71,6 +82,7 @@ fn main() {
     let pm = Arc::new(PmRegion::new(512 << 20));
     let mut fp = FpTree::new(Arc::clone(&pm), PmAddr(0), 256 << 20, Mode::Persistent).unwrap();
     profile(
+        &mut bench,
         "FPTree",
         "B+-tree, inner nodes are placed in DRAM, leaves in PM",
         &mut fp,
@@ -80,4 +92,5 @@ fn main() {
     println!();
     println!("(FlatStore's compacted log costs 5 flushes / 2 fences for a batch of");
     println!(" SIXTEEN 16-byte entries — see oplog::tests and Figure 11.)");
+    bench.finish();
 }

@@ -1,23 +1,18 @@
-//! BENCH trajectory — causal-tracing overhead and stage breakdown.
+//! Tracing-overhead trajectory — causal-tracing cost and stage breakdown.
 //!
 //! Runs the replicated read-heavy YCSB point (Put:Get = 5:95, 64 B
 //! values, one backup, engine-default read cache) at zipf θ ∈ {uniform,
 //! 0.9, 0.99}, once with `trace_sample = 0` (the untraced baseline) and
-//! once with `trace_sample = 32`, and emits a machine-readable
-//! `BENCH_6.json` (path from `FLATBENCH_OUT`, default `BENCH_6.json` in
-//! the working directory). Each point pairs the two runs and records the
-//! throughput delta plus the traced run's stage-latency breakdown
-//! (end-to-end, leader persist, replication ack wait, and the
-//! batch-amortized persist cost).
+//! once with `trace_sample = 32`. Each point pairs the two runs and
+//! records the throughput delta plus the traced run's stage-latency
+//! breakdown (end-to-end, leader persist, replication ack wait).
 //!
 //! Span stamps only *observe* the virtual clock — they never charge it —
-//! so the committed file doubles as the zero-overhead proof: the traced
-//! column is bit-identical to the untraced baseline, comfortably inside
-//! the ≤ 2 % budget the engine promises for `trace_sample = 0`.
-//! `scripts/bench.sh` pins the scale and commits the result;
-//! `FLATBENCH_QUICK=1` shrinks it to a CI smoke run.
+//! so the golden doubles as the zero-overhead proof: the traced column
+//! is bit-identical to the untraced baseline, comfortably inside the
+//! ≤ 2 % budget the engine promises for `trace_sample = 0`.
 
-use flatstore_bench::{print_header, print_row, run, Scale};
+use flatstore_bench::{run, Bench, Col, Scale};
 use obs::Stage;
 use simkv::{Engine, ExecModel, SimConfig, SimIndex, Summary, WorkloadSpec};
 use workloads::KeyDist;
@@ -81,42 +76,8 @@ fn stage_p50(s: &Summary, stage: Stage) -> u64 {
         .map_or(0, |b| b.stage_snapshot(stage).p50())
 }
 
-fn json_point(p: &Point) -> String {
-    let b = p.on.breakdown.as_ref();
-    format!(
-        concat!(
-            "    {{\"theta\": {}, \"trace_sample\": {}, ",
-            "\"mops_untraced\": {:.4}, \"mops_traced\": {:.4}, ",
-            "\"trace_overhead_pct\": {:.4}, ",
-            "\"ns_per_op_untraced\": {:.2}, \"ns_per_op_traced\": {:.2}, ",
-            "\"p99_ns_untraced\": {:.1}, \"p99_ns_traced\": {:.1}, ",
-            "\"pm_media_writes_untraced\": {}, \"pm_media_writes_traced\": {}, ",
-            "\"spans\": {}, \"end_to_end_p50_ns\": {}, ",
-            "\"leader_persist_p50_ns\": {}, \"repl_ack_wait_p50_ns\": {}, ",
-            "\"persist_per_entry_p50_ns\": {}}}"
-        ),
-        p.theta,
-        TRACE_SAMPLE,
-        p.off.mops,
-        p.on.mops,
-        overhead_pct(p),
-        ns_per_op(&p.off),
-        ns_per_op(&p.on),
-        p.off.p99_ns,
-        p.on.p99_ns,
-        p.off.device.media_writes,
-        p.on.device.media_writes,
-        b.map_or(0, |b| b.spans()),
-        b.map_or(0, |b| b.end_to_end_snapshot().p50()),
-        stage_p50(&p.on, Stage::LeaderPersist),
-        stage_p50(&p.on, Stage::ReplAckWait),
-        b.map_or(0, |b| b.persist_per_entry_snapshot().p50()),
-    )
-}
-
 fn main() {
     let scale = Scale::from_env();
-    let quick = std::env::var("FLATBENCH_QUICK").is_ok_and(|v| v != "0");
     // Mirror the engine default: 8 MiB of DRAM budget split across cores,
     // each 64 B value costing value + SLOT_OVERHEAD (64 B) in the budget.
     let entries = ((8usize << 20) / scale.ncores / 128).max(1);
@@ -132,56 +93,46 @@ fn main() {
         .collect();
 
     println!("== BENCH trajectory: tracing overhead, Put:Get 5:95, 64 B, 1 backup ==");
-    print_header(
+    let mut bench = Bench::new("trajectory");
+    bench.print_header(
+        "tracing_overhead",
         "zipf theta",
-        &["off ns/op", "on ns/op", "ovhd %", "e2e p50", "persist p50"],
+        [
+            Col::headed("off ns/op", "untraced", "ns_per_op"),
+            Col::headed("on ns/op", "traced", "ns_per_op"),
+            Col::headed("ovhd %", "traced", "overhead_pct"),
+            Col::headed("e2e p50", "traced", "e2e_p50_ns"),
+            Col::headed("persist p50", "traced", "leader_persist_p50_ns"),
+        ],
     );
     for p in &points {
-        print_row(
+        bench.print_row(
             &format!("{:.2}", p.theta),
             &[
-                ("", ns_per_op(&p.off)),
-                ("", ns_per_op(&p.on)),
-                ("", overhead_pct(p)),
-                (
-                    "",
-                    p.on.breakdown
-                        .as_ref()
-                        .map_or(0, |b| b.end_to_end_snapshot().p50()) as f64,
-                ),
-                ("", stage_p50(&p.on, Stage::LeaderPersist) as f64),
+                ns_per_op(&p.off),
+                ns_per_op(&p.on),
+                overhead_pct(p),
+                p.on.breakdown
+                    .as_ref()
+                    .map_or(0, |b| b.end_to_end_snapshot().p50()) as f64,
+                stage_p50(&p.on, Stage::LeaderPersist) as f64,
             ],
         );
     }
     println!();
     for p in &points {
+        let spans = p.on.breakdown.as_ref().map_or(0, |b| b.spans());
         println!(
-            "theta {:.2}: {} spans sampled (1-in-{TRACE_SAMPLE}), overhead {:+.4}%",
+            "theta {:.2}: {spans} spans sampled (1-in-{TRACE_SAMPLE}), overhead {:+.4}%",
             p.theta,
-            p.on.breakdown.as_ref().map_or(0, |b| b.spans()),
             overhead_pct(p),
         );
+        bench.row(&format!("traced/{:.2}_spans", p.theta), spans);
+        bench.row(
+            &format!("traced/{:.2}_repl_ack_wait_p50_ns", p.theta),
+            stage_p50(&p.on, Stage::ReplAckWait),
+        );
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"tracing_overhead_trajectory\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        concat!(
-            "  \"scale\": {{\"keyspace\": {}, \"ops\": {}, \"warmup\": {}, ",
-            "\"ncores\": {}, \"clients\": {}, \"cache_entries_per_core\": {}, ",
-            "\"replicas\": 1}},\n"
-        ),
-        scale.keyspace, scale.ops, scale.warmup, scale.ncores, scale.clients, entries
-    ));
-    json.push_str("  \"workload\": {\"value_len\": 64, \"put_ratio\": 0.05},\n");
-    json.push_str("  \"runs\": [\n");
-    let rows: Vec<String> = points.iter().map(json_point).collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    let out = std::env::var("FLATBENCH_OUT").unwrap_or_else(|_| "BENCH_6.json".into());
-    std::fs::write(&out, &json).expect("write BENCH_6.json");
-    println!("\nwrote {out}");
+    println!();
+    bench.finish();
 }

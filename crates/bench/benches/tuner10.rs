@@ -1,9 +1,8 @@
-//! PR 10 — self-tuning horizontal batching vs static group sizes
-//! (`BENCH_10.json`).
+//! Self-tuning horizontal batching vs static group sizes.
 //!
 //! The paper picks a group size once ("all the cores from the same
 //! socket into one group", §3.3) and lives with it; the adaptive
-//! controller ([`Config::adaptive`]'s DES twin) is supposed to make that
+//! controller (`flatstore::Config::adaptive`'s DES twin) is supposed to make that
 //! choice obsolete. This harness sweeps key skew × static group sizes
 //! and runs the adaptive configuration against each sweep: the claim —
 //! gated at test scale by `simkv/tests/adaptive_sim.rs` and re-measured
@@ -11,12 +10,9 @@
 //! within 5 % of the *best* static size at every skew and strictly above
 //! the *worst*, without anyone telling it the skew in advance.
 //!
-//! Deterministic DES: the JSON reproduces bit-for-bit anywhere. Writes
-//! `FLATBENCH_OUT` (default `BENCH_10.json`).
-//!
-//! [`Config::adaptive`]: flatstore::Config
+//! Deterministic DES: the golden reproduces bit-for-bit anywhere.
 
-use flatstore_bench::{print_header, print_row, Scale};
+use flatstore_bench::{Bench, Col, Scale};
 use simkv::{run, Engine, ExecModel, SimConfig, SimIndex, WorkloadSpec};
 use workloads::KeyDist;
 
@@ -30,7 +26,6 @@ struct StaticPoint {
 
 struct SkewSweep {
     name: &'static str,
-    theta: Option<f64>,
     statics: Vec<StaticPoint>,
     adaptive_mops: f64,
     adaptive_avg_batch: f64,
@@ -71,14 +66,14 @@ fn main() {
         sizes, scale.ncores
     );
 
-    let dists: [(&'static str, Option<f64>, KeyDist); 3] = [
-        ("uniform", None, KeyDist::Uniform),
-        ("zipf-0.9", Some(0.9), KeyDist::Zipfian { theta: 0.9 }),
-        ("zipf-0.99", Some(0.99), KeyDist::Zipfian { theta: 0.99 }),
+    let dists: [(&'static str, KeyDist); 3] = [
+        ("uniform", KeyDist::Uniform),
+        ("zipf-0.9", KeyDist::Zipfian { theta: 0.9 }),
+        ("zipf-0.99", KeyDist::Zipfian { theta: 0.99 }),
     ];
 
     let mut sweeps = Vec::new();
-    for (name, theta, dist) in dists {
+    for (name, dist) in dists {
         let statics: Vec<StaticPoint> = sizes
             .iter()
             .map(|&gs| {
@@ -98,21 +93,23 @@ fn main() {
         let a = run(&c);
         sweeps.push(SkewSweep {
             name,
-            theta,
             statics,
             adaptive_mops: a.mops,
             adaptive_avg_batch: a.avg_batch,
         });
     }
 
-    let headers: Vec<String> = sizes.iter().map(|g| format!("static-{g}")).collect();
-    let mut cols: Vec<&str> = headers.iter().map(String::as_str).collect();
-    cols.push("adaptive");
-    print_header("skew \\ Mops", &cols);
+    let mut bench = Bench::new("tuner10");
+    let mut cols: Vec<Col> = sizes
+        .iter()
+        .map(|g| Col::mops(&format!("static-{g}")))
+        .collect();
+    cols.push(Col::mops("adaptive"));
+    bench.print_header("adaptive_vs_static", "skew \\ Mops", cols);
     for s in &sweeps {
-        let mut cells: Vec<(&str, f64)> = s.statics.iter().map(|p| ("", p.mops)).collect();
-        cells.push(("", s.adaptive_mops));
-        print_row(s.name, &cells);
+        let mut cells: Vec<f64> = s.statics.iter().map(|p| p.mops).collect();
+        cells.push(s.adaptive_mops);
+        bench.print_row(s.name, &cells);
     }
     println!();
     for s in &sweeps {
@@ -135,65 +132,17 @@ fn main() {
             worst,
             best,
         );
+        for p in &s.statics {
+            bench.row(
+                &format!("static-{}/{}_avg_batch", p.group_size, s.name),
+                p.avg_batch,
+            );
+        }
+        bench.row(
+            &format!("adaptive/{}_avg_batch", s.name),
+            s.adaptive_avg_batch,
+        );
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"adaptive_batching_sweep\",\n");
-    json.push_str(&format!(
-        concat!(
-            "  \"scale\": {{\"keyspace\": {}, \"ops\": {}, \"warmup\": {}, ",
-            "\"ncores\": {}, \"clients\": {}, \"client_batch\": 8}},\n"
-        ),
-        scale.keyspace,
-        scale.ops * 3,
-        scale.ops / 2,
-        scale.ncores,
-        scale.clients
-    ));
-    json.push_str("  \"workload\": {\"value_len\": 64, \"put_ratio\": 1.0},\n");
-    json.push_str("  \"sweeps\": [\n");
-    let rows: Vec<String> = sweeps
-        .iter()
-        .map(|s| {
-            let statics: Vec<String> = s
-                .statics
-                .iter()
-                .map(|p| {
-                    format!(
-                        "        {{\"group_size\": {}, \"mops\": {:.6}, \"avg_batch\": {:.3}}}",
-                        p.group_size, p.mops, p.avg_batch
-                    )
-                })
-                .collect();
-            let best = s.statics.iter().map(|p| p.mops).fold(0.0, f64::max);
-            let worst = s
-                .statics
-                .iter()
-                .map(|p| p.mops)
-                .fold(f64::INFINITY, f64::min);
-            format!(
-                concat!(
-                    "    {{\"dist\": \"{}\", \"theta\": {}, \"static\": [\n{}\n      ],\n",
-                    "      \"adaptive\": {{\"mops\": {:.6}, \"avg_batch\": {:.3}}},\n",
-                    "      \"best_static_mops\": {:.6}, \"worst_static_mops\": {:.6},\n",
-                    "      \"adaptive_frac_of_best\": {:.6}}}"
-                ),
-                s.name,
-                s.theta.map_or("null".into(), |t| format!("{t}")),
-                statics.join(",\n"),
-                s.adaptive_mops,
-                s.adaptive_avg_batch,
-                best,
-                worst,
-                s.adaptive_mops / best,
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    let out = std::env::var("FLATBENCH_OUT").unwrap_or_else(|_| "BENCH_10.json".into());
-    std::fs::write(&out, &json).expect("write BENCH_10.json");
-    println!("\nwrote {out}");
+    println!();
+    bench.finish();
 }

@@ -5,8 +5,20 @@ use racecheck::sync::atomic::{AtomicUsize, Ordering};
 use racecheck::sync::Arc;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ops::Deref;
 
-use crossbeam::utils::CachePadded;
+/// Pads and aligns a value to 128 bytes so the producer's and the
+/// consumer's index never share a cacheline (two 64 B lines: safe
+/// against the adjacent-line spatial prefetcher).
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 struct Inner<T> {
     head: CachePadded<AtomicUsize>, // next slot to pop
@@ -30,8 +42,8 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let mut slots = Vec::with_capacity(capacity + 1);
     slots.resize_with(capacity + 1, || UnsafeCell::new(MaybeUninit::uninit()));
     let inner = Arc::new(Inner {
-        head: CachePadded::new(AtomicUsize::new(0)),
-        tail: CachePadded::new(AtomicUsize::new(0)),
+        head: CachePadded(AtomicUsize::new(0)),
+        tail: CachePadded(AtomicUsize::new(0)),
         slots: slots.into_boxed_slice(),
     });
     (
@@ -156,6 +168,11 @@ impl<T> Drop for Inner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn indices_sit_on_separate_128_byte_lines() {
+        assert_eq!(std::mem::align_of::<CachePadded<AtomicUsize>>(), 128);
+    }
 
     #[test]
     fn fifo_order_and_capacity() {

@@ -6,20 +6,11 @@
 //! flatload --tcp 127.0.0.1:6399 --conns 4 --depth 8 --ops 50000
 //! flatload --unix /tmp/flatsrv.sock --assert-batch-gt 1.0 --shutdown
 //! ```
-//!
-//! `--compare` needs no server: it boots a fresh engine per transport
-//! (in-process sessions, loopback TCP, Unix socket), runs identical
-//! seeded workloads, and emits the three-way BENCH_7 JSON.
 
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use flatsrv::load::{self, LoadOpts, LoadSummary, Target};
-use flatsrv::server::{Listener, Server, ServerOpts, StatsSource};
-use flatstore::{Config, FlatStore};
 
 struct Args {
     target: Option<Target>,
@@ -27,15 +18,13 @@ struct Args {
     assert_batch_gt: Option<f64>,
     shutdown: bool,
     json: bool,
-    compare: bool,
-    out: Option<PathBuf>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: flatload (--tcp ADDR:PORT | --unix PATH | --compare) \
+        "usage: flatload (--tcp ADDR:PORT | --unix PATH) \
          [--conns N] [--depth N] [--ops N] [--keyspace N] [--put-ratio F] \
-         [--seed N] [--assert-batch-gt F] [--shutdown] [--json] [--out PATH]"
+         [--seed N] [--assert-batch-gt F] [--shutdown] [--json]"
     );
     std::process::exit(2)
 }
@@ -47,8 +36,6 @@ fn parse_args() -> Args {
         assert_batch_gt: None,
         shutdown: false,
         json: false,
-        compare: false,
-        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -67,14 +54,12 @@ fn parse_args() -> Args {
             }
             "--shutdown" => args.shutdown = true,
             "--json" => args.json = true,
-            "--compare" => args.compare = true,
-            "--out" => args.out = Some(PathBuf::from(val())),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
-    if args.compare == args.target.is_some() {
-        usage(); // exactly one of --compare / a target
+    if args.target.is_none() {
+        usage();
     }
     args
 }
@@ -100,9 +85,6 @@ fn print_summary(s: &LoadSummary, label: &str, json: bool) {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    if args.compare {
-        return compare(&args);
-    }
     let target = args.target.as_ref().expect("checked in parse_args");
 
     let summary = match load::run_wire(target, &args.opts) {
@@ -143,102 +125,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Boots a fresh engine, runs the workload through `drive`, and returns
-/// the summary with the engine's own mean batch size attached.
-fn measured<F>(opts: &LoadOpts, drive: F) -> Result<LoadSummary, String>
-where
-    F: FnOnce(&Arc<FlatStore>) -> Result<LoadSummary, String>,
-{
-    let cfg = Config::builder()
-        .pm_bytes(512 << 20)
-        .ncores(4)
-        .group_size(4)
-        .pipeline_depth(opts.depth.max(1))
-        .build()
-        .map_err(|e| e.to_string())?;
-    let store = Arc::new(FlatStore::create(cfg).map_err(|e| e.to_string())?);
-    let mut summary = drive(&store)?;
-    summary.avg_batch = Some(store.stats().avg_batch());
-    Ok(summary)
-}
-
-fn serve(store: &Arc<FlatStore>, listener: Listener) -> std::io::Result<Server> {
-    let st = Arc::clone(store);
-    let stats_src: StatsSource = Arc::new(move || st.stats_report().to_json());
-    Server::start(
-        store.handle(),
-        stats_src,
-        vec![listener],
-        ServerOpts::default(),
-    )
-}
-
-fn compare(args: &Args) -> ExitCode {
-    let opts = &args.opts;
-    let mut rows: Vec<String> = Vec::new();
-
-    let inproc = measured(opts, |store| {
-        load::run_inproc(&store.handle(), opts).map_err(|e| e.to_string())
-    });
-
-    let tcp = measured(opts, |store| {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-        let server = serve(store, Listener::Tcp(l)).map_err(|e| e.to_string())?;
-        let addr = server.tcp_addrs()[0].to_string();
-        let r = load::run_wire(&Target::Tcp(addr), opts).map_err(|e| e.to_string());
-        server.stop();
-        r
-    });
-
-    let unix = measured(opts, |store| {
-        let path = std::env::temp_dir().join(format!(
-            "flatsrv-bench-{}-{}.sock",
-            std::process::id(),
-            opts.seed
-        ));
-        let _ = std::fs::remove_file(&path);
-        let l = UnixListener::bind(&path).map_err(|e| e.to_string())?;
-        let server = serve(store, Listener::Unix(l)).map_err(|e| e.to_string())?;
-        let r = load::run_wire(&Target::Unix(path.clone()), opts).map_err(|e| e.to_string());
-        server.stop();
-        let _ = std::fs::remove_file(&path);
-        r
-    });
-
-    for (label, result) in [("inproc", inproc), ("tcp", tcp), ("unix", unix)] {
-        match result {
-            Ok(s) => {
-                print_summary(&s, label, false);
-                rows.push(s.to_json(label));
-            }
-            Err(e) => {
-                eprintln!("flatload: {label} run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let json = format!(
-        "{{\"bench\":\"wire_transports\",\"workload\":\"etc\",\"ops\":{},\"conns\":{},\"depth\":{},\"keyspace\":{},\"put_ratio\":{},\"seed\":{},\"transports\":[{}]}}",
-        opts.ops,
-        opts.conns,
-        opts.depth,
-        opts.keyspace,
-        obs::json::number(opts.put_ratio),
-        opts.seed,
-        rows.join(",")
-    );
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("flatload: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("flatload: wrote {}", path.display());
-        }
-        None => println!("{json}"),
-    }
-    ExitCode::SUCCESS
 }

@@ -26,8 +26,7 @@
 //!   whole horizontal batch.
 //! - [`load`]: the `flatload` generator — pipelined ETC workload over
 //!   real sockets, latency percentiles, and engine-side `INFO` readback
-//!   (mean HB batch size, cache hit rate) — plus an in-process twin for
-//!   transport comparisons.
+//!   (mean HB batch size, cache hit rate).
 //!
 //! Everything is `std`-only: no async runtime, no epoll crate — a
 //! non-blocking sweep loop with a spin/yield/sleep idle ladder, matching

@@ -7,24 +7,15 @@
 //! send to reply, and at the end one control connection fetches `INFO`
 //! so the run can report *engine-side* figures — mean horizontal-batch
 //! size, cache hit rate — observed under real sockets.
-//!
-//! [`run_inproc`] mirrors the same workload through in-process
-//! [`Session`]s (no sockets, same key hashing and value frames), so the
-//! compare harness can price the wire: in-process vs loopback TCP vs
-//! Unix socket on identical seeded op streams.
 
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use flatstore::prelude::*;
-use flatstore::{Session, StoreHandle};
 use workloads::{value_bytes, EtcWorkload, Op as WlOp};
 
-use crate::keymap::{encode_frame, hash_key};
 use crate::resp;
 
 /// Where the server lives.
@@ -206,7 +197,7 @@ impl LoadSummary {
         }
     }
 
-    /// One JSON object (used by `--compare` and scripts).
+    /// One JSON object (`flatload --json`).
     pub fn to_json(&self, label: &str) -> String {
         let mut s = String::new();
         s.push_str("{\"transport\":");
@@ -388,92 +379,4 @@ pub fn json_path_f64(json: &str, path: &[&str]) -> Option<f64> {
         node = node.get(key)?;
     }
     node.as_f64()
-}
-
-/// The same ETC streams through in-process sessions: no sockets, no
-/// RESP, but identical key hashing and value frames, so the wire
-/// transports can be compared against it fairly.
-pub fn run_inproc(handle: &StoreHandle, opts: &LoadOpts) -> Result<LoadSummary, StoreError> {
-    let per_conn = opts.ops.div_ceil(opts.conns.max(1) as u64);
-    let start = Instant::now();
-    let results: Vec<Result<(Vec<u64>, u64), StoreError>> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for c in 0..opts.conns {
-            let opts = opts.clone();
-            let session = handle.session();
-            handles.push(s.spawn(move || drive_inproc(session?, &opts, c as u64, per_conn)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load thread"))
-            .collect()
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let mut lat = Vec::new();
-    let mut errors = 0u64;
-    for r in results {
-        let (l, e) = r?;
-        lat.extend(l);
-        errors += e;
-    }
-    Ok(LoadSummary::from_latencies(lat, errors, secs))
-}
-
-fn drive_inproc(
-    mut session: Session,
-    opts: &LoadOpts,
-    conn_id: u64,
-    ops: u64,
-) -> Result<(Vec<u64>, u64), StoreError> {
-    let mut wl = EtcWorkload::new(
-        opts.keyspace.max(100),
-        opts.put_ratio,
-        opts.seed.wrapping_add(conn_id.wrapping_mul(0x9e37)),
-    );
-    let mut sent: HashMap<Ticket, Instant> = HashMap::new();
-    let mut lat = Vec::with_capacity(ops as usize);
-    let mut errors = 0u64;
-    let harvest = |session: &mut Session,
-                   sent: &mut HashMap<Ticket, Instant>,
-                   lat: &mut Vec<u64>,
-                   errors: &mut u64| {
-        for (t, reply) in session.poll_completions() {
-            if let Some(at) = sent.remove(&t) {
-                lat.push(at.elapsed().as_nanos() as u64);
-            }
-            if reply.status().is_err() {
-                *errors += 1;
-            }
-        }
-    };
-    for _ in 0..ops {
-        let op = match wl.next_op() {
-            WlOp::Put { key, value_len } => {
-                let raw = raw_key(key);
-                let value = value_bytes(key, value_len.max(1));
-                Op::Put {
-                    key: hash_key(&raw),
-                    value: encode_frame(&raw, &value),
-                }
-            }
-            WlOp::Get { key } => Op::Get {
-                key: hash_key(&raw_key(key)),
-            },
-            WlOp::Delete { key } => Op::Delete {
-                key: hash_key(&raw_key(key)),
-            },
-        };
-        let t = session.submit(op)?;
-        sent.insert(t, Instant::now());
-        harvest(&mut session, &mut sent, &mut lat, &mut errors);
-    }
-    for (t, reply) in session.wait_all()? {
-        if let Some(at) = sent.remove(&t) {
-            lat.push(at.elapsed().as_nanos() as u64);
-        }
-        if reply.status().is_err() {
-            errors += 1;
-        }
-    }
-    Ok((lat, errors))
 }

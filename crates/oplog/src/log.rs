@@ -436,19 +436,6 @@ impl OpLog {
         }
     }
 
-    /// Picks cleaning victims: chunks (never the active tail chunk) whose
-    /// live ratio is at most `max_live_ratio`, worst first.
-    pub fn victims(&self, max_live_ratio: f64) -> Vec<PmAddr> {
-        let tail_chunk = Self::chunk_of(self.tail);
-        let mut v: Vec<(PmAddr, f64)> = self
-            .usages()
-            .filter(|(c, u)| *c != tail_chunk && u.total > 0 && u.live_ratio() <= max_live_ratio)
-            .map(|(c, u)| (c, u.live_ratio()))
-            .collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1));
-        v.into_iter().map(|(c, _)| c).collect()
-    }
-
     /// Reclaims `victim`: copies the entries whose header `is_live` approves to a fresh
     /// chunk inserted at the chain head, unlinks the victim from the chain,
     /// and returns the relocations. The victim chunk is **not** returned to

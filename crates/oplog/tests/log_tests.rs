@@ -329,7 +329,7 @@ fn usage_accounting_tracks_dead_entries() {
 }
 
 #[test]
-fn victims_exclude_tail_and_respect_threshold() {
+fn note_dead_lowers_only_its_own_chunks_live_ratio() {
     let (_pm, mgr) = setup(8, false);
     let mut log = OpLog::create(mgr, PmAddr(0)).unwrap();
     let mut first_chunk_addrs = Vec::new();
@@ -342,14 +342,25 @@ fn victims_exclude_tail_and_respect_threshold() {
             first_chunk_addrs.extend(addrs);
         }
     }
-    assert!(log.victims(0.5).is_empty(), "everything is live");
+    assert!(
+        log.usages().all(|(_, u)| u.live_ratio() == 1.0),
+        "everything is live"
+    );
     // Kill 80 % of the first chunk.
     let kill = first_chunk_addrs.len() * 4 / 5;
     for a in &first_chunk_addrs[..kill] {
         log.note_dead(*a);
     }
-    let victims = log.victims(0.5);
-    assert_eq!(victims, vec![log.chunks()[0]]);
+    let first = log.chunks()[0];
+    for (chunk, u) in log.usages() {
+        if chunk == first {
+            assert_eq!(u.dead as usize, kill);
+            assert!(u.live_ratio() <= 0.5, "{u:?}");
+        } else {
+            assert_eq!(u.dead, 0, "tail chunk untouched");
+            assert_eq!(u.live_ratio(), 1.0);
+        }
+    }
 }
 
 #[test]

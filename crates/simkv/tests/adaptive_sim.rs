@@ -1,7 +1,8 @@
 //! Adaptive-batching gate over the DES: across key skew × static group
 //! sizes, the self-tuning configuration must land within 5% of the best
 //! static operating point and strictly beat the worst one — the claim
-//! BENCH_10 sweeps at full scale, pinned here at test scale.
+//! the `tuner10` bench target sweeps at full scale, pinned here at test
+//! scale.
 
 use simkv::{run, Engine, ExecModel, SimConfig, SimIndex, WorkloadSpec};
 use workloads::KeyDist;

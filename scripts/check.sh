@@ -72,8 +72,19 @@ cargo run --release --offline --example simulate -- \
 test -s "$smoke/metrics.json"
 test -s "$smoke/trace.json"
 
-echo "== smoke-scale figures =="
+echo "== smoke-scale figures + DES golden =="
+# Every deterministic bench target rewrites BENCH_des/quick/<target>.jsonl;
+# the committed files are the golden. Any changed or untracked file there
+# means a DES figure moved: commit the new golden and explain the delta
+# in EXPERIMENTS.md.
 FLATBENCH_QUICK=1 cargo bench --workspace --offline
+golden="$(git status --porcelain -- BENCH_des/quick)"
+if [ -n "$golden" ]; then
+    echo "$golden"
+    git --no-pager diff --stat -- BENCH_des/quick
+    echo "DES golden moved: BENCH_des/quick differs from the committed files"
+    exit 1
+fi
 
 echo "== perfmap (the stand-alone wall-clock benchmark: build, unit tests, smoke) =="
 # A package of its own (empty [workspace] table), so --workspace above
@@ -81,17 +92,5 @@ echo "== perfmap (the stand-alone wall-clock benchmark: build, unit tests, smoke
 cargo build --release --offline --manifest-path perfmap/Cargo.toml
 cargo test --offline -q --manifest-path perfmap/Cargo.toml
 perfmap/smoke.sh
-
-echo "== BENCH trajectory smoke (tracing-overhead harness) =="
-FLATBENCH_QUICK=1 scripts/bench.sh
-
-echo "== BENCH wire-transport smoke (in-process / tcp / unix) =="
-FLATBENCH_QUICK=1 scripts/bench.sh --wire
-
-echo "== BENCH cluster smoke (throughput vs groups + migration pause) =="
-FLATBENCH_QUICK=1 scripts/bench.sh --cluster
-
-echo "== BENCH adaptive-batching smoke (static sizes vs self-tuning) =="
-FLATBENCH_QUICK=1 scripts/bench.sh --tuner
 
 echo "All checks passed."
