@@ -3,10 +3,9 @@
 
 use racecheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use racecheck::sync::Arc;
-use std::collections::hash_map::{Entry, HashMap};
 use std::thread::JoinHandle;
 
-use oplog::{newer, EntryHeader, LogEntry, LogOp, OpLog};
+use oplog::{newer, EntryHeader, LogEntry, LogOp, OpLog, VERSION_MASK};
 use pmalloc::{ChunkManager, CoreAllocator, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion};
 
@@ -28,6 +27,56 @@ use crate::vindex::VolatileIndex;
 #[inline]
 fn elapsed_ns(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// What one `open` did to rebuild the volatile state: the `recovery`
+/// section of the stats report (absent on a store built by `create`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Recovery {
+    /// 1: clean shutdown + snapshot; 2: crash with a valid checkpoint;
+    /// 3: bare crash, full log scan.
+    path: u64,
+    /// Log entries the scan decoded.
+    entries_scanned: u64,
+    /// Keys in the index when recovery ended.
+    keys_loaded: u64,
+    /// Scanned entries that lost newest-wins.
+    stale_entries: u64,
+    scan_ns: u64,
+    newest_wins_ns: u64,
+    index_build_ns: u64,
+    index_load_ns: u64,
+}
+
+impl Recovery {
+    fn fill_section(&self, sec: &mut obs::Section) {
+        sec.row("path", self.path)
+            .row("entries_scanned", self.entries_scanned)
+            .row("keys_loaded", self.keys_loaded)
+            .row("stale_entries", self.stale_entries)
+            .row("scan_ns", self.scan_ns)
+            .row("newest_wins_ns", self.newest_wins_ns)
+            .row("index_build_ns", self.index_build_ns)
+            .row("index_load_ns", self.index_load_ns);
+    }
+}
+
+/// Runs `f(i, item)` for every item on a thread of its own and returns
+/// the results in item order (recovery's per-core phases). A panic on a
+/// thread resumes on the caller's.
+fn on_threads<I: Send, T: Send>(items: Vec<I>, f: impl Fn(usize, I) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| s.spawn(move || f(i, item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// A completion of the wrong kind arrived for a blocking call — the
@@ -219,6 +268,8 @@ pub struct FlatStore {
     /// Adaptive-batching controllers (empty in static mode) — kept for
     /// the `batch_tuner` stats section.
     tuners: Vec<Arc<BatchTuner>>,
+    /// How `open` rebuilt the volatile state (`None` after `create`).
+    recovery: Option<Recovery>,
     shared: Arc<EngineShared>,
     handle: StoreHandle,
     /// The engine's own fabric client (client id 0), used for checkpoint
@@ -298,7 +349,7 @@ impl FlatStore {
             let alloc = CoreAllocator::new(Arc::clone(&mgr), core as u32);
             shards.push((log, alloc));
         }
-        Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl)
+        Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl, None)
     }
 
     /// Reopens an existing region: fast path after a clean shutdown,
@@ -371,12 +422,15 @@ impl FlatStore {
                 nchunks,
             ))
         };
-        // Paths 1 and 2 load the snapshot into an index built up front;
-        // path 3 builds its index after the scan, sized by what it found.
+        // Paths 1 and 2 bulk-load the snapshot into an index sized by its
+        // per-core key counts; path 3 builds its index after the scan,
+        // sized by what it found.
+        let mut rec = Recovery::default();
         let snapshot_index = match sb.snapshot() {
             Some((snap, _len)) if trust_bitmaps => {
-                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, 0)?;
-                Self::load_snapshot(&pm, snap, &mgr, &index, &deleted, &usage, ncores)?;
+                rec.path = if clean { 1 } else { 2 };
+                let index =
+                    Self::load_snapshot(&pm, snap, &mgr, &cfg, &deleted, &usage, ncores, &mut rec)?;
                 Some(index)
             }
             _ => None,
@@ -395,69 +449,120 @@ impl FlatStore {
                     } else {
                         sb.read_ckpt_cursor(core)
                     };
+                    let t = std::time::Instant::now();
                     let mut suffix = Vec::new();
                     let log =
                         OpLog::recover_headers(Arc::clone(&mgr), desc, Some(from), |h, a| {
                             suffix.push((h, a));
                         })?;
+                    rec.scan_ns += elapsed_ns(t);
+                    let t = std::time::Instant::now();
+                    rec.entries_scanned += suffix.len() as u64;
                     for (h, addr) in suffix {
-                        Self::apply_recovered(&index, &deleted, &usage, &mgr, ncores, h, addr)?;
+                        let stale =
+                            Self::apply_recovered(&index, &deleted, &usage, &mgr, ncores, h, addr)?;
+                        rec.stale_entries += u64::from(stale);
                     }
+                    rec.newest_wins_ns += elapsed_ns(t);
                     logs.push(log);
                 }
                 index
             }
             None => {
                 // Path 3: one pass over entry headers, no owned values.
+                rec.path = 3;
+                let t = std::time::Instant::now();
+                // Each log is a chain of its own: scan them in parallel,
+                // then concatenate in core order (the order a sequential
+                // scan yields).
+                let parts = on_threads(vec![(); ncores], |core, ()| {
+                    let mut part: Vec<(EntryHeader, PmAddr)> = Vec::new();
+                    let desc = Superblock::log_desc(core);
+                    let collect = |h, a| part.push((h, a));
+                    OpLog::recover_headers(Arc::clone(&mgr), desc, None, collect)
+                        .map(|log| (log, part))
+                });
                 let mut scanned: Vec<(EntryHeader, PmAddr)> = Vec::new();
-                for core in 0..ncores {
-                    let (mgr, desc) = (Arc::clone(&mgr), Superblock::log_desc(core));
-                    let collect = |h, a| scanned.push((h, a));
-                    logs.push(OpLog::recover_headers(mgr, desc, None, collect)?);
+                for part in parts {
+                    let (log, part) = part?;
+                    logs.push(log);
+                    if scanned.is_empty() {
+                        scanned = part;
+                    } else {
+                        scanned.extend(part);
+                    }
                 }
-                // Newest version of each key wins; `newest` maps a key to
-                // (version, position in `scanned`) and is sized once.
-                let mut newest: HashMap<u64, (u32, usize)> = HashMap::with_capacity(scanned.len());
-                let mut stale = vec![false; scanned.len()];
-                let mut dead: HashMap<PmAddr, u32> = HashMap::new();
-                for (i, (h, _)) in scanned.iter().enumerate() {
-                    let loser = match newest.entry(h.key) {
-                        Entry::Vacant(slot) => {
-                            slot.insert((h.version, i));
-                            continue;
+                rec.scan_ns = elapsed_ns(t);
+                rec.entries_scanned = scanned.len() as u64;
+
+                // Newest version of each key wins. Sorting (key, log
+                // position) puts each key's entries in one run, in log
+                // order, and folding a run with `newer` picks the winner a
+                // log-order pass would. The version rides in the low bits
+                // beside the position, so the fold reads `scanned` only
+                // for winners; a chunk's dead count is its entries minus
+                // its winners. Winning Puts go to their core's list.
+                let t = std::time::Instant::now();
+                let ver_bits = VERSION_MASK.count_ones();
+                let mut runs: Vec<(u64, u64)> = scanned
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (h, _))| (h.key, (i as u64) << ver_bits | u64::from(h.version)))
+                    .collect();
+                runs.sort_unstable();
+                let version = |r: u64| (r & u64::from(VERSION_MASK)) as u32;
+                let chunk_id = |a: PmAddr| ((a.offset() - POOL_BASE) / CHUNK_SIZE) as usize;
+                let mut won_in = vec![0u32; nchunks as usize];
+                let mut winners: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ncores];
+                for run in runs.chunk_by(|a, b| a.0 == b.0) {
+                    let mut won = run[0].1;
+                    for &(_, r) in &run[1..] {
+                        if newer(version(r), version(won)) {
+                            won = r;
                         }
-                        Entry::Occupied(won) if !newer(h.version, won.get().0) => i,
-                        Entry::Occupied(mut won) => won.insert((h.version, i)).1,
-                    };
-                    stale[loser] = true;
-                    *dead.entry(OpLog::chunk_of(scanned[loser].1)).or_default() += 1;
-                }
-                for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
-                    let dead = dead.get(&chunk).copied().unwrap_or(0);
-                    usage.restore(chunk.offset(), u.total, dead);
-                }
-                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, newest.len())?;
-                for ((h, addr), _) in scanned.iter().zip(&stale).filter(|(_, stale)| !**stale) {
+                    }
+                    rec.stale_entries += run.len() as u64 - 1;
+                    let (h, addr) = scanned[(won >> ver_bits) as usize];
+                    won_in[chunk_id(addr)] += 1;
                     let owner = core_of(h.key, ncores);
                     match h.op {
                         LogOp::Put => {
-                            index.insert(owner, h.key, pack(h.version, *addr))?;
+                            winners[owner].push((h.key, pack(h.version, addr)));
                             if let (Some(block), false) = (h.block(), trust_bitmaps) {
                                 mgr.mark_allocated(block).map_err(|err| {
                                     StoreError::corrupt_with("recovery mark failed", err)
                                 })?;
                             }
                         }
-                        LogOp::Delete => deleted.insert(owner, h.key, h.version, *addr),
+                        LogOp::Delete => deleted.insert(owner, h.key, h.version, addr),
                         LogOp::Seal => {}
                     }
+                }
+                drop((runs, scanned));
+                for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
+                    usage.restore(chunk.offset(), u.total, u.total - won_in[chunk_id(chunk)]);
                 }
                 if !trust_bitmaps {
                     mgr.finish_recovery();
                 }
+                rec.newest_wins_ns = elapsed_ns(t);
+
+                let t = std::time::Instant::now();
+                let most = winners.iter().map(Vec::len).max().unwrap_or(0);
+                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, most)?;
+                rec.index_build_ns = elapsed_ns(t);
+
+                // Each core's shard is a table of its own: load them in
+                // parallel.
+                let t = std::time::Instant::now();
+                on_threads(winners, |core, mut pairs| index.bulk_load(core, &mut pairs))
+                    .into_iter()
+                    .collect::<Result<(), _>>()?;
+                rec.index_load_ns = elapsed_ns(t);
                 index
             }
         };
+        rec.keys_loaded = index.len() as u64;
         let index = Arc::new(index);
 
         // Reclaim reserved chunks unreachable from any log chain (a crash
@@ -481,12 +586,13 @@ impl FlatStore {
             alloc.adopt_recovered(ncores as u32);
             shards.push((log, alloc));
         }
-        Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl)
+        Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl, Some(rec))
     }
 
     /// Applies one post-checkpoint log entry on top of snapshot state:
     /// newest version wins, equal versions re-anchor the same entry (its
-    /// out-of-log block may postdate the persisted bitmaps).
+    /// out-of-log block may postdate the persisted bitmaps). Returns
+    /// whether the entry itself turned out stale.
     fn apply_recovered(
         index: &VolatileIndex,
         deleted: &DeletedTable,
@@ -495,7 +601,7 @@ impl FlatStore {
         ncores: usize,
         e: EntryHeader,
         addr: PmAddr,
-    ) -> Result<(), StoreError> {
+    ) -> Result<bool, StoreError> {
         usage.note_appended(OpLog::chunk_of(addr), 1);
         let owner = core_of(e.key, ncores);
         let cur = index.get(owner, e.key);
@@ -503,6 +609,7 @@ impl FlatStore {
         let del_ver = deleted.get(owner, e.key).map(|(v, _)| v);
         let newest = cur_ver.is_none_or(|v| newer(e.version, v))
             && del_ver.is_none_or(|v| newer(e.version, v));
+        let mut stale = false;
         match e.op {
             LogOp::Put => {
                 if newest {
@@ -525,6 +632,7 @@ impl FlatStore {
                     }
                 } else {
                     usage.note_dead(addr);
+                    stale = true;
                 }
             }
             LogOp::Delete => {
@@ -538,41 +646,66 @@ impl FlatStore {
                     deleted.insert(owner, e.key, e.version, addr);
                 } else if del_ver != Some(e.version) {
                     usage.note_dead(addr);
+                    stale = true;
                 }
             }
             LogOp::Seal => {}
         }
-        Ok(())
+        Ok(stale)
     }
 
-    /// Loads the snapshot anchored at `addr` into the (empty) volatile
-    /// state, then frees its block and clears the anchor.
+    /// Loads the snapshot anchored at `addr` into fresh volatile state,
+    /// then frees its block and clears the anchor. The per-core key
+    /// counts are read first, so the index is built at the depth where
+    /// each core's keys bulk-load without a split; snapshot keys are
+    /// distinct by construction.
+    #[allow(clippy::too_many_arguments)]
     fn load_snapshot(
         pm: &PmRegion,
         addr: PmAddr,
         mgr: &ChunkManager,
-        index: &VolatileIndex,
+        cfg: &Config,
         deleted: &DeletedTable,
         usage: &UsageTable,
         ncores: usize,
-    ) -> Result<(), StoreError> {
-        let mut pos = addr;
+        rec: &mut Recovery,
+    ) -> Result<VolatileIndex, StoreError> {
         let read_u64 = |pos: &mut PmAddr| {
             let v = pm.read_u64(*pos);
             *pos += 8;
             v
         };
+        let mut pos = addr;
         let snap_cores = read_u64(&mut pos) as usize;
         if snap_cores != ncores {
             return Err(StoreError::BadImage("snapshot core count".into()));
         }
+        // Per core: n_idx, n_idx × (key, packed), n_del, n_del × (key,
+        // version, tombstone address).
+        let t = std::time::Instant::now();
+        let body = pos;
+        let mut most = 0;
         for _ in 0..ncores {
             let n_idx = read_u64(&mut pos);
+            most = most.max(n_idx as usize);
+            pos += n_idx * 16;
+            let n_del = read_u64(&mut pos);
+            pos += n_del * 24;
+        }
+        let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, most)?;
+        rec.index_build_ns = elapsed_ns(t);
+
+        let t = std::time::Instant::now();
+        let mut pos = body;
+        let mut pairs = Vec::with_capacity(most);
+        for core in 0..ncores {
+            let n_idx = read_u64(&mut pos);
+            pairs.clear();
             for _ in 0..n_idx {
                 let key = read_u64(&mut pos);
-                let packed = read_u64(&mut pos);
-                index.insert(core_of(key, ncores), key, packed)?;
+                pairs.push((key, read_u64(&mut pos)));
             }
+            index.bulk_load(core, &mut pairs)?;
             let n_del = read_u64(&mut pos);
             for _ in 0..n_del {
                 let key = read_u64(&mut pos);
@@ -588,10 +721,11 @@ impl FlatStore {
             let dead = read_u64(&mut pos) as u32;
             usage.restore(chunk, total, dead);
         }
+        rec.index_load_ns = elapsed_ns(t);
         // The snapshot block is consumed; free it and clear the anchor.
         let _ = mgr.free_block(addr);
         Superblock::new(pm).set_snapshot(PmAddr::NULL, 0);
-        Ok(())
+        Ok(index)
     }
 
     /// Serializes the volatile state (index, tombstones, chunk-liveness
@@ -702,6 +836,7 @@ impl FlatStore {
         shards: Vec<(OpLog, CoreAllocator)>,
         cfg: Config,
         repl: Option<Arc<dyn ReplicationSink>>,
+        recovery: Option<Recovery>,
     ) -> Result<FlatStore, StoreError> {
         let ncores = cfg.ncores;
         let quarantine = Quarantine::new(20);
@@ -758,7 +893,16 @@ impl FlatStore {
             let mgr = Arc::clone(&mgr);
             let tuners = tuners.clone();
             flight.set_stats_source(move || {
-                Self::render_report(&stats, &fabric, cache.as_ref(), &pm, &mgr, &tuners).to_json()
+                Self::render_report(
+                    &stats,
+                    &fabric,
+                    cache.as_ref(),
+                    &pm,
+                    &mgr,
+                    &tuners,
+                    recovery.as_ref(),
+                )
+                .to_json()
             });
         }
 
@@ -832,6 +976,7 @@ impl FlatStore {
             stats,
             cache,
             tuners,
+            recovery,
             shared,
             handle,
             control,
@@ -914,6 +1059,7 @@ impl FlatStore {
             &self.pm,
             &self.mgr,
             &self.tuners,
+            self.recovery.as_ref(),
         )
     }
 
@@ -927,6 +1073,7 @@ impl FlatStore {
         pm: &PmRegion,
         mgr: &ChunkManager,
         tuners: &[Arc<BatchTuner>],
+        recovery: Option<&Recovery>,
     ) -> obs::StatsReport {
         let mut r = obs::StatsReport::new("flatstore");
         stats.fill_report(&mut r);
@@ -952,6 +1099,9 @@ impl FlatStore {
         let sec = r.section("pm");
         pm.stats().snapshot().fill_section(sec);
         sec.row("free_chunks", mgr.free_chunks());
+        if let Some(recovery) = recovery {
+            recovery.fill_section(r.section("recovery"));
+        }
         r
     }
 
@@ -1123,5 +1273,168 @@ impl Drop for FlatStore {
             let _ = self.join_workers();
         }
         let _ = &self.usage; // shared tables dropped with the engine
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::Op;
+    use indexes::Index;
+    use std::collections::HashMap;
+    use workloads::value_bytes;
+
+    /// Puts `value(i)` under `key(i)` for every `i` in `ops` through one
+    /// pipelined session, asserting that every Put is acked.
+    fn pipelined_puts(
+        store: &FlatStore,
+        ops: std::ops::Range<u64>,
+        key: impl Fn(u64) -> u64,
+        value: impl Fn(u64) -> Vec<u8>,
+    ) {
+        let mut session = store.session().unwrap();
+        for i in ops {
+            session.submit(Op::put(key(i), value(i))).unwrap();
+            if i % 1024 == 0 {
+                for (_, reply) in session.poll_completions() {
+                    assert_eq!(reply, Reply::Put(Ok(())), "put {i}");
+                }
+            }
+        }
+        for (_, reply) in session.wait_all().unwrap() {
+            assert_eq!(reply, Reply::Put(Ok(())));
+        }
+    }
+
+    fn gc_chunks(store: &FlatStore) -> u64 {
+        store
+            .stats()
+            .gc_chunks
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// A crash between a chunk rollover's link and its tail persist, on a
+    /// pool the cleaner has churned (recycled chunks are the norm there):
+    /// the reopened store holds exactly the acked writes, and so does the
+    /// one reopened after more churn and a second crash.
+    #[test]
+    fn a_crash_inside_a_chunk_rollover_on_a_churned_pool_loses_nothing() {
+        // Five pool chunks and one core: the cleaner runs all along.
+        let cfg = Config::builder()
+            .pm_bytes(24 << 20)
+            .dram_bytes(8 << 20)
+            .ncores(1)
+            .group_size(1)
+            .crash_tracking(true)
+            .build()
+            .unwrap();
+        let key = |i: u64| i % 2_000;
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        let churn = |store: &FlatStore, ops: std::ops::Range<u64>, model: &mut HashMap<_, _>| {
+            pipelined_puts(store, ops.clone(), key, |i| value_bytes(i, 64));
+            for i in ops {
+                model.insert(key(i), value_bytes(i, 64));
+            }
+        };
+        churn(&store, 0..60_000, &mut model);
+        assert!(gc_chunks(&store) > 0, "the pool never churned");
+        // Let the quarantine hand its chunks back to the pool.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+
+        // Drive core 0's log past a rollover through the oplog API, then
+        // put the tail word back: the image of a crash after the fresh
+        // chunk was linked and the batch fenced, before the tail moved.
+        let pm = store.kill();
+        pm.simulate_crash();
+        let nchunks = ((cfg.pm_bytes as u64 - POOL_BASE) / CHUNK_SIZE) as u32;
+        let mgr = Arc::new(ChunkManager::recover(
+            Arc::clone(&pm),
+            PmAddr(POOL_BASE),
+            nchunks,
+        ));
+        let desc = Superblock::log_desc(0);
+        let mut log = OpLog::recover_headers(Arc::clone(&mgr), desc, None, |_, _| {}).unwrap();
+        // As `open` does: the free list is rebuilt, and chunks the chain
+        // does not reach (quarantined victims) go back to the pool.
+        mgr.finish_recovery();
+        for c in mgr.reserved_chunks() {
+            if !log.chunks().contains(&c) {
+                mgr.return_raw_chunk(c).unwrap();
+            }
+        }
+        let chunks = log.chunks().len();
+        let mut next = 1u64 << 30;
+        let lost = loop {
+            let before = log.tail();
+            let batch: Vec<LogEntry> = (next..next + 256)
+                .map(|k| LogEntry::put_inline(k, 1, value_bytes(k, 64)).unwrap())
+                .collect();
+            next += 256;
+            log.append_batch(&batch).unwrap();
+            if log.chunks().len() > chunks {
+                pm.write_u64(desc + 8, before.offset());
+                pm.persist(desc + 8, 8);
+                break batch;
+            }
+            for e in &batch {
+                model.insert(e.key, value_bytes(e.key, 64));
+            }
+        };
+        drop(log);
+        pm.simulate_crash();
+
+        let check = |store: &FlatStore, model: &HashMap<u64, Vec<u8>>| {
+            assert_eq!(store.len(), model.len());
+            for (k, v) in model {
+                assert_eq!(store.get(*k).unwrap().as_ref(), Some(v), "key {k}");
+            }
+            for e in &lost {
+                assert_eq!(store.get(e.key).unwrap(), None, "unacked key {}", e.key);
+            }
+        };
+        let store = FlatStore::open(pm, cfg.clone()).unwrap();
+        check(&store, &model);
+
+        // More churn, so the cleaner picks victims on the recovered chain,
+        // then a second crash.
+        let cleaned = gc_chunks(&store);
+        churn(&store, 60_000..120_000, &mut model);
+        assert!(gc_chunks(&store) > cleaned, "the cleaner never ran again");
+        let pm = store.kill();
+        pm.simulate_crash();
+        let store = FlatStore::open(pm, cfg).unwrap();
+        check(&store, &model);
+    }
+
+    /// A clean shutdown → open of 100 k keys sizes the index from the
+    /// snapshot's per-core counts and bulk-loads it: no CCEH split.
+    #[test]
+    fn clean_reopen_of_100k_keys_bulk_loads_without_a_split() {
+        let cfg = Config::builder()
+            .pm_bytes(64 << 20)
+            .dram_bytes(16 << 20)
+            .ncores(2)
+            .group_size(2)
+            .build()
+            .unwrap();
+        let n = 100_000u64;
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        pipelined_puts(&store, 0..n, |i| i, |i| value_bytes(i, 8));
+        let pm = store.shutdown().unwrap();
+        let store = FlatStore::open(pm, cfg.clone()).unwrap();
+        assert_eq!(store.len() as u64, n);
+        let VolatileIndex::PerCoreHash(shards) = &*store.index else {
+            panic!("the default index is the per-core hash");
+        };
+        for shard in shards {
+            let shard = shard.lock();
+            let depth = indexes::Cceh::depth_for(shard.len(), cfg.dram_bytes as u64);
+            assert!(depth > 2, "a depth-2 table would have had to split");
+            assert_eq!(shard.segment_count(), 1 << depth, "the load split");
+        }
+        for k in (0..n).step_by(997) {
+            assert_eq!(store.get(k).unwrap(), Some(value_bytes(k, 8)));
+        }
     }
 }

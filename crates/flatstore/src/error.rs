@@ -163,6 +163,7 @@ impl From<IndexError> for StoreError {
         match e {
             IndexError::OutOfSpace => StoreError::OutOfSpace,
             IndexError::ReservedKey => StoreError::ReservedKey,
+            other => StoreError::corrupt_with(format!("index: {other}"), other),
         }
     }
 }

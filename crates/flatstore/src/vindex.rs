@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use indexes::{Cceh, FastFair, Index, Mode, OrderedIndex};
+use indexes::{Cceh, FastFair, Index, IndexError, Mode, OrderedIndex};
 use masstree::Masstree;
 use parking_lot::Mutex;
 use pmem::{PmAddr, PmRegion};
@@ -29,8 +29,9 @@ pub(crate) enum VolatileIndex {
 
 impl VolatileIndex {
     /// Builds the index for `kind` with a DRAM arena of `dram_bytes`
-    /// (per core for `Hash`), sized to bulk-load `expected_keys` keys
-    /// without a CCEH split (0: the smallest table, grown by splitting).
+    /// (per core for `Hash`), sized so that `core_keys` keys per core
+    /// bulk-load without a CCEH split (0: the smallest table, grown by
+    /// splitting).
     ///
     /// The arenas are plain DRAM ([`PmRegion::dram_arena`]): committed on
     /// first touch and free of the PM bookkeeping a volatile index never
@@ -39,14 +40,12 @@ impl VolatileIndex {
         kind: IndexKind,
         ncores: usize,
         dram_bytes: usize,
-        expected_keys: usize,
+        core_keys: usize,
     ) -> Result<Self, StoreError> {
         let arena = || Arc::new(PmRegion::dram_arena(dram_bytes));
         match kind {
             IndexKind::Hash => {
-                // Keys are hash-routed, so every core holds an even share.
-                let per_core = expected_keys.div_ceil(ncores);
-                let depth = Cceh::depth_for(per_core, dram_bytes as u64).max(2);
+                let depth = Cceh::depth_for(core_keys, dram_bytes as u64).max(2);
                 let mut shards = Vec::with_capacity(ncores);
                 for _ in 0..ncores {
                     shards.push(Mutex::new(Cceh::new(
@@ -74,6 +73,23 @@ impl VolatileIndex {
             VolatileIndex::PerCoreHash(shards) => Ok(shards[core].lock().insert(key, value)?),
             VolatileIndex::SharedMasstree(t) => Ok(t.insert(key, value)),
             VolatileIndex::SharedTree(t) => Ok(t.lock().insert(key, value)?),
+        }
+    }
+
+    /// Loads `core`'s `pairs` — distinct keys, none yet present — in one
+    /// call ([`Index::bulk_load`]); Masstree takes them one at a time.
+    pub fn bulk_load(&self, core: usize, pairs: &mut [(u64, u64)]) -> Result<(), StoreError> {
+        match self {
+            VolatileIndex::PerCoreHash(shards) => Ok(shards[core].lock().bulk_load(pairs)?),
+            VolatileIndex::SharedMasstree(t) => {
+                for &(key, value) in pairs.iter() {
+                    if t.insert(key, value).is_some() {
+                        return Err(IndexError::DuplicateKey { key }.into());
+                    }
+                }
+                Ok(())
+            }
+            VolatileIndex::SharedTree(t) => Ok(t.lock().bulk_load(pairs)?),
         }
     }
 
@@ -148,10 +164,7 @@ impl VolatileIndex {
             }
             VolatileIndex::SharedTree(t) => {
                 if core == 0 {
-                    t.lock().range(0, u64::MAX, &mut |k, v| {
-                        f(k, v);
-                        true
-                    });
+                    t.lock().for_each(f);
                 }
             }
         }

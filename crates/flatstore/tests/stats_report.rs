@@ -80,3 +80,66 @@ fn report_carries_op_counts_and_latency_percentiles() {
     let json = r.to_json();
     obs::Json::parse(&json).expect("stats report JSON must parse");
 }
+
+/// `open` adds a `recovery` section naming the path it took, what it
+/// found and where its time went; a store built by `create` has none.
+#[test]
+fn recovery_section_reports_each_open_path() {
+    let cfg = Config::builder()
+        .pm_bytes(64 << 20)
+        .dram_bytes(8 << 20)
+        .ncores(2)
+        .group_size(2)
+        .crash_tracking(true)
+        .build()
+        .unwrap();
+    let store = FlatStore::create(cfg.clone()).unwrap();
+    assert!(store.stats_report().get("recovery", "path").is_none());
+    for k in 0..500u64 {
+        store.put(k, value_bytes(k, 32)).unwrap();
+    }
+    for k in 0..100u64 {
+        store.put(k, value_bytes(k + 1, 32)).unwrap();
+    }
+
+    // Path 3: bare crash, full scan; the 100 first versions lose.
+    let pm = store.kill();
+    pm.simulate_crash();
+    let store = FlatStore::open(pm, cfg.clone()).unwrap();
+    let r = store.stats_report();
+    assert_eq!(num(&r, "recovery", "path"), 3.0);
+    assert_eq!(num(&r, "recovery", "entries_scanned"), 600.0);
+    assert_eq!(num(&r, "recovery", "keys_loaded"), 500.0);
+    assert_eq!(num(&r, "recovery", "stale_entries"), 100.0);
+    for phase in [
+        "scan_ns",
+        "newest_wins_ns",
+        "index_build_ns",
+        "index_load_ns",
+    ] {
+        assert!(num(&r, "recovery", phase) > 0.0, "{phase}");
+    }
+
+    // Path 2: checkpoint, ten more Puts, crash: only the suffix is read.
+    store.checkpoint().unwrap();
+    for k in 500..510u64 {
+        store.put(k, value_bytes(k, 32)).unwrap();
+    }
+    let pm = store.kill();
+    pm.simulate_crash();
+    let store = FlatStore::open(pm, cfg.clone()).unwrap();
+    let r = store.stats_report();
+    assert_eq!(num(&r, "recovery", "path"), 2.0);
+    assert_eq!(num(&r, "recovery", "entries_scanned"), 10.0);
+    assert_eq!(num(&r, "recovery", "keys_loaded"), 510.0);
+    assert_eq!(num(&r, "recovery", "stale_entries"), 0.0);
+
+    // Path 1: clean shutdown, snapshot only.
+    let pm = store.shutdown().unwrap();
+    let store = FlatStore::open(pm, cfg).unwrap();
+    let r = store.stats_report();
+    assert_eq!(num(&r, "recovery", "path"), 1.0);
+    assert_eq!(num(&r, "recovery", "entries_scanned"), 0.0);
+    assert_eq!(num(&r, "recovery", "keys_loaded"), 510.0);
+    assert!(num(&r, "recovery", "index_load_ns") > 0.0);
+}

@@ -117,6 +117,11 @@ impl Cceh {
         want.min(fit).min(MAX_GLOBAL_DEPTH)
     }
 
+    /// Segments allocated so far: `2^initial_depth` plus one per split.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
     fn fresh_segment(store: &mut Store) -> Result<PmAddr, IndexError> {
         let addr = store.alloc(SEG_LEN)?;
         store.pm.fill(addr, SEG_LEN as usize, 0xFF); // all-EMPTY slots
@@ -144,9 +149,16 @@ impl Cceh {
         seg.local_depth == 0 || (h >> (64 - seg.local_depth)) == seg.prefix
     }
 
-    /// Probes the window for `key`; returns `(slot_addr, current_value)` if
-    /// found, plus the first usable empty slot.
-    fn probe(&self, seg: &Segment, h: u64, key: u64) -> (Option<(PmAddr, u64)>, Option<PmAddr>) {
+    /// Scans `h`'s 16-slot window of `seg` for `key` and returns
+    /// `(slot_addr, current_value)` if found, plus the first usable (empty
+    /// or stale) slot. With `key = None` — a key the caller knows is
+    /// absent — the scan stops at that first usable slot.
+    fn probe(
+        &self,
+        seg: &Segment,
+        h: u64,
+        key: Option<u64>,
+    ) -> (Option<(PmAddr, u64)>, Option<PmAddr>) {
         let start = h & (BUCKETS_PER_SEG - 1);
         let mut empty = None;
         for i in 0..PROBE_BUCKETS {
@@ -154,10 +166,13 @@ impl Cceh {
             for s in 0..SLOTS_PER_BUCKET {
                 let a = Self::slot_addr(seg.addr, bucket, s);
                 let k = self.store.pm.read_u64(a);
-                if k == key {
+                if Some(k) == key {
                     return (Some((a, self.store.pm.read_u64(a + 8))), empty);
                 }
                 if empty.is_none() && (k == EMPTY || !Self::belongs(seg, hash64(k))) {
+                    if key.is_none() {
+                        return (None, Some(a));
+                    }
                     empty = Some(a);
                 }
             }
@@ -165,27 +180,40 @@ impl Cceh {
         (None, empty)
     }
 
-    /// Visits every live `(key, value)` pair (unordered). Used by
-    /// FlatStore's clean-shutdown index snapshot.
-    pub fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        // Walk the directory, visiting each segment the first time an
-        // entry references it (2^(global − local depth) entries share one).
-        let mut seen = vec![false; self.segments.len()];
-        for &seg_id in &self.directory {
-            if std::mem::replace(&mut seen[seg_id as usize], true) {
-                continue;
+    /// Stores `key` → `value` (`h = hash64(key)`), splitting until its
+    /// window has room; returns the value it replaced. `known_absent`
+    /// skips the search for `key` itself: the key goes to the first usable
+    /// slot, which is all a bulk load of new keys needs.
+    fn upsert(
+        &mut self,
+        h: u64,
+        key: u64,
+        value: u64,
+        known_absent: bool,
+    ) -> Result<Option<u64>, IndexError> {
+        let wanted = (!known_absent).then_some(key);
+        for _ in 0..64 {
+            let seg = self.segments[self.directory[self.dir_index(h)] as usize].clone();
+            let (found, empty) = self.probe(&seg, h, wanted);
+            if let Some((a, old)) = found {
+                // In-place value update: 8 B store + flush + fence (the
+                // repeated-cacheline pattern skewed workloads suffer from).
+                self.store.pm.write_u64(a + 8, value);
+                self.store.persist(a + 8, 8);
+                return Ok(Some(old));
             }
-            let seg = &self.segments[seg_id as usize];
-            for bucket in 0..BUCKETS_PER_SEG {
-                for s in 0..SLOTS_PER_BUCKET {
-                    let a = Self::slot_addr(seg.addr, bucket, s);
-                    let k = self.store.pm.read_u64(a);
-                    if k != EMPTY && Self::belongs(seg, hash64(k)) {
-                        f(k, self.store.pm.read_u64(a + 8));
-                    }
-                }
+            if let Some(a) = empty {
+                // Value first, then key (8 B atomic publish), one cacheline
+                // flush covers the 16 B slot.
+                self.store.pm.write_u64(a + 8, value);
+                self.store.pm.write_u64(a, key);
+                self.store.persist(a, 16);
+                self.len += 1;
+                return Ok(None);
             }
+            self.split(self.dir_index(h))?;
         }
+        Err(IndexError::OutOfSpace)
     }
 
     fn split(&mut self, dir_idx: usize) -> Result<(), IndexError> {
@@ -272,47 +300,68 @@ impl Index for Cceh {
         if key == EMPTY {
             return Err(IndexError::ReservedKey);
         }
-        let h = hash64(key);
-        for _ in 0..64 {
-            let seg = self.segments[self.directory[self.dir_index(h)] as usize].clone();
-            let (found, empty) = self.probe(&seg, h, key);
-            if let Some((a, old)) = found {
-                // In-place value update: 8 B store + flush + fence (the
-                // repeated-cacheline pattern skewed workloads suffer from).
-                self.store.pm.write_u64(a + 8, value);
-                self.store.persist(a + 8, 8);
-                return Ok(Some(old));
+        self.upsert(hash64(key), key, value, false)
+    }
+
+    /// Sorts `pairs` by hash — directory order, so each segment's keys
+    /// arrive together while it is in cache — and puts each key in the
+    /// first usable slot of its window, without searching the window for
+    /// the key: the precondition says it is absent. `hash64` is a
+    /// bijection, so a repeated key sorts next to itself and one adjacent
+    /// compare rejects it before anything is stored.
+    fn bulk_load(&mut self, pairs: &mut [(u64, u64)]) -> Result<(), IndexError> {
+        pairs.sort_unstable_by_key(|&(key, _)| hash64(key));
+        for w in pairs.windows(2) {
+            if w[0].0 == w[1].0 {
+                return Err(IndexError::DuplicateKey { key: w[0].0 });
             }
-            if let Some(a) = empty {
-                // Value first, then key (8 B atomic publish), one cacheline
-                // flush covers the 16 B slot.
-                self.store.pm.write_u64(a + 8, value);
-                self.store.pm.write_u64(a, key);
-                self.store.persist(a, 16);
-                self.len += 1;
-                return Ok(None);
-            }
-            self.split(self.dir_index(h))?;
         }
-        Err(IndexError::OutOfSpace)
+        if pairs.iter().any(|&(key, _)| key == EMPTY) {
+            return Err(IndexError::ReservedKey);
+        }
+        for &(key, value) in pairs.iter() {
+            self.upsert(hash64(key), key, value, true)?;
+        }
+        Ok(())
     }
 
     fn get(&self, key: u64) -> Option<u64> {
         let h = hash64(key);
         let seg = &self.segments[self.directory[self.dir_index(h)] as usize];
-        self.probe(seg, h, key).0.map(|(_, v)| v)
+        self.probe(seg, h, Some(key)).0.map(|(_, v)| v)
     }
 
     fn remove(&mut self, key: u64) -> Option<u64> {
         let h = hash64(key);
         let seg = self.segments[self.directory[self.dir_index(h)] as usize].clone();
-        let (found, _) = self.probe(&seg, h, key);
+        let (found, _) = self.probe(&seg, h, Some(key));
         found.map(|(a, v)| {
             self.store.pm.write_u64(a, EMPTY);
             self.store.persist(a, 8);
             self.len -= 1;
             v
         })
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+        // Walk the directory, visiting each segment the first time an
+        // entry references it (2^(global − local depth) entries share one).
+        let mut seen = vec![false; self.segments.len()];
+        for &seg_id in &self.directory {
+            if std::mem::replace(&mut seen[seg_id as usize], true) {
+                continue;
+            }
+            let seg = &self.segments[seg_id as usize];
+            for bucket in 0..BUCKETS_PER_SEG {
+                for s in 0..SLOTS_PER_BUCKET {
+                    let a = Self::slot_addr(seg.addr, bucket, s);
+                    let k = self.store.pm.read_u64(a);
+                    if k != EMPTY && Self::belongs(seg, hash64(k)) {
+                        f(k, self.store.pm.read_u64(a + 8));
+                    }
+                }
+            }
+        }
     }
 
     fn len(&self) -> usize {

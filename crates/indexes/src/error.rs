@@ -10,6 +10,11 @@ pub enum IndexError {
     OutOfSpace,
     /// The reserved sentinel key (`u64::MAX`) was passed.
     ReservedKey,
+    /// A bulk load was handed the same key twice.
+    DuplicateKey {
+        /// The repeated key.
+        key: u64,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -17,6 +22,7 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::OutOfSpace => write!(f, "index arena out of space"),
             IndexError::ReservedKey => write!(f, "key u64::MAX is reserved"),
+            IndexError::DuplicateKey { key } => write!(f, "bulk load repeats key {key}"),
         }
     }
 }

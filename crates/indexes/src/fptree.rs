@@ -304,6 +304,13 @@ impl Index for FpTree {
         Some(v)
     }
 
+    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+        self.range(0, u64::MAX, &mut |k, v| {
+            f(k, v);
+            true
+        });
+    }
+
     fn len(&self) -> usize {
         self.len
     }

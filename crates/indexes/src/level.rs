@@ -267,6 +267,22 @@ impl Index for LevelHash {
         None
     }
 
+    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+        let levels = [
+            (self.top, self.top_buckets),
+            (self.bottom, self.top_buckets / 2),
+        ];
+        for (level, buckets) in levels {
+            for slot in 0..buckets * SLOTS_PER_BUCKET {
+                let a = level + slot * SLOT_LEN;
+                let k = self.store.pm.read_u64(a);
+                if k != EMPTY {
+                    f(k, self.store.pm.read_u64(a + 8));
+                }
+            }
+        }
+    }
+
     fn len(&self) -> usize {
         self.len
     }

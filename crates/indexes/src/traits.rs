@@ -16,6 +16,24 @@ pub trait Index: Send {
     /// [`IndexError::ReservedKey`] for the sentinel key.
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>, IndexError>;
 
+    /// Loads `pairs` in one call (crash recovery, snapshot load). The keys
+    /// must be distinct and absent from the index; the slice may be
+    /// reordered. The default inserts one pair at a time; an index with a
+    /// cheaper way to place keys it knows are new overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`insert`](Self::insert), plus [`IndexError::DuplicateKey`]
+    /// when a key repeats within `pairs`. No key is ever stored twice.
+    fn bulk_load(&mut self, pairs: &mut [(u64, u64)]) -> Result<(), IndexError> {
+        for &(key, value) in pairs.iter() {
+            if self.insert(key, value)?.is_some() {
+                return Err(IndexError::DuplicateKey { key });
+            }
+        }
+        Ok(())
+    }
+
     /// Looks up `key`.
     fn get(&self, key: u64) -> Option<u64>;
 
@@ -34,6 +52,10 @@ pub trait Index: Send {
             false
         }
     }
+
+    /// Visits every live `(key, value)` pair once, in no promised order
+    /// (FlatStore's shutdown snapshot).
+    fn for_each(&self, f: &mut dyn FnMut(u64, u64));
 
     /// Number of live keys.
     fn len(&self) -> usize;

@@ -1,10 +1,11 @@
 //! Model-based property tests: every index structure must behave exactly
-//! like a `BTreeMap` under arbitrary insert/update/remove interleavings.
+//! like a `BTreeMap` under arbitrary insert/update/remove interleavings,
+//! and a bulk load must leave the contents one-at-a-time inserts do.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use indexes::{Cceh, FastFair, FpTree, Index, IndexError, LevelHash, Mode, OrderedIndex};
+use indexes::{Cceh, FastFair, FpTree, Index, IndexError, LevelHash, Mode, OrderedIndex, MAX_KEY};
 use pmem::{PmAddr, PmRegion};
 use proptest::prelude::*;
 
@@ -50,6 +51,53 @@ fn check_against_model(idx: &mut dyn Index, script: &[Op]) -> Result<(), TestCas
 
 fn region() -> Arc<PmRegion> {
     Arc::new(PmRegion::new(64 << 20))
+}
+
+/// Every index kind, empty, in a 16 MiB arena of its own. The hash
+/// tables start undersized: CCEH with a one-segment directory (1 024
+/// slots) and Level hashing with four top buckets, so a bulk load of
+/// more keys has to split or resize on the way.
+fn every_kind() -> Vec<(&'static str, Box<dyn Index>)> {
+    let arena = 16u64 << 20;
+    let pm = || Arc::new(PmRegion::new(arena as usize));
+    vec![
+        (
+            "cceh",
+            Box::new(Cceh::new(pm(), PmAddr(0), arena, Mode::Persistent, 0).unwrap()),
+        ),
+        (
+            "cceh_presized",
+            Box::new(Cceh::new(pm(), PmAddr(0), arena, Mode::Volatile, 4).unwrap()),
+        ),
+        (
+            "level",
+            Box::new(LevelHash::new(pm(), PmAddr(0), arena, Mode::Persistent, 4).unwrap()),
+        ),
+        (
+            "fastfair",
+            Box::new(FastFair::new(pm(), PmAddr(0), arena, Mode::Persistent).unwrap()),
+        ),
+        (
+            "fptree",
+            Box::new(FpTree::new(pm(), PmAddr(0), arena, Mode::Persistent).unwrap()),
+        ),
+    ]
+}
+
+/// At least one distinct key from the whole key space, in random order.
+fn distinct_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0..=MAX_KEY, any::<u64>()), 1..2500).prop_map(|mut pairs| {
+        let mut seen = BTreeSet::new();
+        pairs.retain(|(k, _)| seen.insert(*k));
+        pairs
+    })
+}
+
+fn contents(idx: &dyn Index) -> Vec<(u64, u64)> {
+    let mut all = Vec::new();
+    idx.for_each(&mut |k, v| all.push((k, v)));
+    all.sort_unstable();
+    all
 }
 
 proptest! {
@@ -102,6 +150,48 @@ proptest! {
             let mut got = Vec::new();
             t.range(lo, hi, &mut |k, v| { got.push((k, v)); true });
             prop_assert_eq!(&got, &expect);
+        }
+    }
+
+    #[test]
+    fn bulk_load_leaves_what_inserts_leave(pairs in distinct_pairs()) {
+        let model: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        let expect: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        for ((name, mut one), (_, mut bulk)) in every_kind().into_iter().zip(every_kind()) {
+            for &(k, v) in &pairs {
+                prop_assert_eq!(one.insert(k, v), Ok(None), "{}", name);
+            }
+            prop_assert_eq!(bulk.bulk_load(&mut pairs.clone()), Ok(()), "{}", name);
+            prop_assert_eq!(bulk.len(), one.len(), "{}", name);
+            for &(k, v) in &pairs {
+                prop_assert_eq!(bulk.get(k), Some(v), "{} key {}", name, k);
+            }
+            prop_assert_eq!(&contents(bulk.as_ref()), &expect, "{}", name);
+            prop_assert_eq!(&contents(one.as_ref()), &expect, "{}", name);
+        }
+    }
+
+    #[test]
+    fn bulk_load_rejects_a_repeated_key(
+        pairs in distinct_pairs(),
+        pick in any::<u64>(),
+        at in any::<u64>(),
+        value in any::<u64>(),
+    ) {
+        let key = pairs[(pick % pairs.len() as u64) as usize].0;
+        let mut with_dup = pairs.clone();
+        with_dup.insert((at % (pairs.len() as u64 + 1)) as usize, (key, value));
+        for (name, mut idx) in every_kind() {
+            prop_assert_eq!(
+                idx.bulk_load(&mut with_dup.clone()),
+                Err(IndexError::DuplicateKey { key }),
+                "{}", name
+            );
+            // Whatever was stored before the error, nothing twice.
+            let stored = contents(idx.as_ref());
+            let keys: BTreeSet<u64> = stored.iter().map(|(k, _)| *k).collect();
+            prop_assert_eq!(keys.len(), stored.len(), "{} stored a key twice", name);
+            prop_assert_eq!(idx.len(), stored.len(), "{}", name);
         }
     }
 }

@@ -62,6 +62,26 @@ pub struct Relocation {
     pub entry: LogEntry,
 }
 
+/// A log's persistent chain as [`OpLog::walk_chain`] found it.
+struct Chain {
+    /// Head first; the tail's chunk is last.
+    chunks: Vec<PmAddr>,
+    /// The persisted tail.
+    tail: PmAddr,
+    /// A successor the tail's chunk links to, which holds nothing acked.
+    orphan: Option<PmAddr>,
+}
+
+/// How [`OpLog::walk_entries`] goes on after one position.
+enum Step {
+    /// An entry of this many bytes.
+    Entry(u64),
+    /// Batch padding up to the next cacheline.
+    Padding,
+    /// A seal or a torn entry: nothing further in this chunk.
+    ChunkEnd,
+}
+
 /// A per-core compacted operation log (paper §3.2).
 ///
 /// The log is a chain of 4 MB chunks taken whole from the shared
@@ -172,6 +192,12 @@ impl OpLog {
     /// persisted tail the tail is pulled back and re-persisted so later
     /// appends overwrite the garbage.
     ///
+    /// The walk ends at the chunk holding the persisted tail. If that
+    /// chunk still links a successor (a crash inside a chunk rollover), the
+    /// link is persisted as null and the successor goes back to the pool,
+    /// so the recovered chain — in PM and in [`chunks`](Self::chunks) —
+    /// ends at the tail's chunk.
+    ///
     /// # Errors
     ///
     /// [`LogError::Corrupt`] on undecodable state, or when `from` is not on
@@ -183,104 +209,165 @@ impl OpLog {
         mut f: impl FnMut(EntryHeader, PmAddr),
     ) -> Result<OpLog, LogError> {
         let pm = Arc::clone(mgr.pm());
-        let head = PmAddr(pm.read_u64(desc + DESC_HEAD));
-        let tail = PmAddr(pm.read_u64(desc + DESC_TAIL));
-        if head == PmAddr::NULL {
-            return Err(LogError::Corrupt {
-                addr: desc.offset(),
-            });
+        let chain = Self::walk_chain(&pm, desc)?;
+        let tail = chain.tail;
+        if let Some(orphan) = chain.orphan {
+            // A crash between `seal_and_extend`'s link and the tail persist:
+            // the successor holds no acked entry (only, perhaps, a previous
+            // owner's). Cut it off before anything can follow the link.
+            // pmlint: allow(no-unwrap) — walk_chain ends at the tail's chunk.
+            let last = *chain.chunks.last().expect("chain is never empty");
+            pm.write_u64(last + OFF_NEXT, 0);
+            pm.persist(last + OFF_NEXT, 8);
+            // Durability point: the chain ends at the tail's chunk again.
+            pm.commit_point();
+            let _ = mgr.return_raw_chunk(orphan);
         }
-        let mut chunks = Vec::new();
-        let mut usage = HashMap::new();
-        let mut seq = 0u64;
-        let mut cur = head;
-        let from_chunk = from.map(Self::chunk_of);
-        let mut reached_cursor = from.is_none();
+        let seq = chain
+            .chunks
+            .iter()
+            .map(|&c| pm.read_u64(c + OFF_SEQ))
+            .max()
+            .unwrap_or(0);
+        let mut counts = vec![0u32; chain.chunks.len()];
         let mut new_tail = tail;
-        loop {
-            chunks.push(cur);
-            seq = seq.max(pm.read_u64(cur + OFF_SEQ));
-            let mut count = 0u32;
-            let end = if tail.offset() >= cur.offset() && tail - cur < CHUNK_SIZE {
-                tail
-            } else {
-                PmAddr(cur.offset() + ENTRY_END)
-            };
-            let mut pos = cur + ENTRY_AREA;
-            if !reached_cursor {
-                if Some(cur) == from_chunk {
-                    // Resume scanning exactly at the checkpoint cursor.
-                    // pmlint: allow(no-unwrap) — from_chunk is Some only
-                    // when `from` is (both derive from the same Option).
-                    pos = from.expect("cursor present");
-                    reached_cursor = true;
-                } else {
-                    // Entirely pre-checkpoint: skip its contents.
-                    pos = end;
+        Self::walk_entries(&chain.chunks, tail, from, |i, pos| {
+            match EntryHeader::decode(&pm, pos) {
+                Ok(None) => Ok(Step::Padding),
+                Ok(Some(h)) if h.op == LogOp::Seal => Ok(Step::ChunkEnd),
+                Ok(Some(h)) => {
+                    counts[i] += 1;
+                    f(h, pos);
+                    Ok(Step::Entry(h.encoded_len() as u64))
                 }
-            }
-            while pos < end {
-                match EntryHeader::decode(&pm, pos) {
-                    Ok(None) => {
-                        // Padding: skip to the next cacheline.
-                        pos = (pos + 1).align_up(CACHELINE);
+                Err(LogError::ChecksumMismatch { .. }) => {
+                    // Torn write: nothing from here on in this chunk was
+                    // ever acknowledged. Truncate instead of replaying; if
+                    // the tear precedes the persisted tail, pull the tail
+                    // back so later appends overwrite the garbage.
+                    if Self::chunk_of(tail) == chain.chunks[i] && pos < tail {
+                        new_tail = pos;
                     }
-                    Ok(Some(h)) if h.op == LogOp::Seal => break,
-                    Ok(Some(h)) => {
-                        count += 1;
-                        f(h, pos);
-                        pos += h.encoded_len() as u64;
-                    }
-                    Err(LogError::ChecksumMismatch { .. }) => {
-                        // Torn write: nothing from here on in this chunk was
-                        // ever acknowledged. Truncate instead of replaying;
-                        // if the tear precedes the persisted tail, pull the
-                        // tail back so later appends overwrite the garbage.
-                        if Self::chunk_of(tail) == cur && pos < tail {
-                            new_tail = pos;
-                        }
-                        break;
-                    }
-                    Err(e) => return Err(e),
+                    Ok(Step::ChunkEnd)
                 }
+                Err(e) => Err(e),
             }
-            usage.insert(
-                cur.offset(),
-                ChunkUsage {
-                    total: count,
-                    dead: 0,
-                },
-            );
-            let next = PmAddr(pm.read_u64(cur + OFF_NEXT));
-            if next == PmAddr::NULL {
-                break;
-            }
-            cur = next;
-        }
-        if !reached_cursor {
-            return Err(LogError::Corrupt {
-                // pmlint: allow(no-unwrap) — reached_cursor starts false only
-                // when `from` is Some (see the initialisation above).
-                addr: from.expect("cursor present").offset(),
-            });
-        }
+        })?;
         if new_tail != tail {
             pm.write_u64(desc + DESC_TAIL, new_tail.offset());
             pm.persist(desc + DESC_TAIL, 8);
             // Durability point: the truncated tail is now the log's end.
             pm.commit_point();
         }
+        let usage = chain
+            .chunks
+            .iter()
+            .zip(counts)
+            .map(|(c, total)| (c.offset(), ChunkUsage { total, dead: 0 }))
+            .collect();
         Ok(OpLog {
             pm,
             mgr,
             desc,
-            chunks,
+            chunks: chain.chunks,
             tail: new_tail,
             usage,
             seq,
             scratch: Vec::with_capacity(4096),
             pad_batches: true,
         })
+    }
+
+    /// The one chain walk: follows `OFF_NEXT` from the descriptor's head to
+    /// the chunk that holds the persisted tail, and **never past it**.
+    /// `seal_and_extend` links and fences a fresh chunk before the tail
+    /// moves into it, so after a crash in between the tail's chunk can
+    /// point at a successor whose bytes (a recycled chunk's old entries)
+    /// were never acked; that successor is returned as `orphan`.
+    fn walk_chain(pm: &PmRegion, desc: PmAddr) -> Result<Chain, LogError> {
+        let head = PmAddr(pm.read_u64(desc + DESC_HEAD));
+        let tail = PmAddr(pm.read_u64(desc + DESC_TAIL));
+        let corrupt = LogError::Corrupt {
+            addr: desc.offset(),
+        };
+        if head == PmAddr::NULL {
+            return Err(corrupt);
+        }
+        let tail_chunk = Self::chunk_of(tail);
+        // A chain longer than the region has chunks is a cycle.
+        let max_chunks = pm.len() as u64 / CHUNK_SIZE;
+        let mut chunks = Vec::new();
+        let mut cur = head;
+        loop {
+            chunks.push(cur);
+            let next = PmAddr(pm.read_u64(cur + OFF_NEXT));
+            if cur == tail_chunk {
+                let orphan = (next != PmAddr::NULL).then_some(next);
+                return Ok(Chain {
+                    chunks,
+                    tail,
+                    orphan,
+                });
+            }
+            if next == PmAddr::NULL || chunks.len() as u64 > max_chunks {
+                return Err(corrupt);
+            }
+            cur = next;
+        }
+    }
+
+    /// The one entry walk over `chunks` (chain order): each chunk from its
+    /// first entry (or, in the cursor's chunk, from `from`; chunks before
+    /// it are skipped) up to a seal, its entry area's end, or `tail` in the
+    /// tail's chunk. `visit(i, pos)` handles the entry of `chunks[i]` at
+    /// `pos` and says how to go on.
+    ///
+    /// # Errors
+    ///
+    /// What `visit` returns, or [`LogError::Corrupt`] when `from` is not
+    /// on the chain.
+    fn walk_entries(
+        chunks: &[PmAddr],
+        tail: PmAddr,
+        from: Option<PmAddr>,
+        mut visit: impl FnMut(usize, PmAddr) -> Result<Step, LogError>,
+    ) -> Result<(), LogError> {
+        let from_chunk = from.map(Self::chunk_of);
+        let mut reached_cursor = from.is_none();
+        for (i, &chunk) in chunks.iter().enumerate() {
+            let end = if Self::chunk_of(tail) == chunk {
+                tail
+            } else {
+                chunk + ENTRY_END
+            };
+            let mut pos = chunk + ENTRY_AREA;
+            if !reached_cursor {
+                if Some(chunk) != from_chunk {
+                    continue; // entirely pre-cursor
+                }
+                // Resume exactly at the cursor.
+                // pmlint: allow(no-unwrap) — from_chunk is Some only when
+                // `from` is (both derive from the same Option).
+                pos = from.expect("cursor present");
+                reached_cursor = true;
+            }
+            while pos < end {
+                match visit(i, pos)? {
+                    Step::Entry(len) => pos += len,
+                    // Padding: skip to the next cacheline.
+                    Step::Padding => pos = (pos + 1).align_up(CACHELINE),
+                    Step::ChunkEnd => break,
+                }
+            }
+        }
+        if !reached_cursor {
+            return Err(LogError::Corrupt {
+                // pmlint: allow(no-unwrap) — reached_cursor starts false
+                // only when `from` is Some (see the initialisation above).
+                addr: from.expect("cursor present").offset(),
+            });
+        }
+        Ok(())
     }
 
     /// The persistent descriptor address.
@@ -586,57 +673,11 @@ impl OpLog {
         from: Option<PmAddr>,
         mut f: impl FnMut(LogEntry, PmAddr),
     ) -> Result<PmAddr, LogError> {
-        let head = PmAddr(pm.read_u64(desc + DESC_HEAD));
-        let tail = PmAddr(pm.read_u64(desc + DESC_TAIL));
-        if head == PmAddr::NULL {
-            return Err(LogError::Corrupt {
-                addr: desc.offset(),
-            });
-        }
-        let from_chunk = from.map(Self::chunk_of);
-        let mut reached_cursor = from.is_none();
-        let mut cur = head;
-        loop {
-            let end = if tail.offset() >= cur.offset() && tail - cur < CHUNK_SIZE {
-                tail
-            } else {
-                PmAddr(cur.offset() + ENTRY_END)
-            };
-            let mut pos = cur + ENTRY_AREA;
-            if !reached_cursor {
-                if Some(cur) == from_chunk {
-                    // pmlint: allow(no-unwrap) — from_chunk is Some only
-                    // when `from` is (both derive from the same Option).
-                    pos = from.expect("cursor present");
-                    reached_cursor = true;
-                } else {
-                    pos = end; // entirely pre-cursor: skip
-                }
-            }
-            while pos < end {
-                match LogEntry::decode(pm, pos)? {
-                    None => pos = (pos + 1).align_up(CACHELINE),
-                    Some((e, _)) if e.op == LogOp::Seal => break,
-                    Some((e, len)) => {
-                        f(e, pos);
-                        pos += len as u64;
-                    }
-                }
-            }
-            let next = PmAddr(pm.read_u64(cur + OFF_NEXT));
-            if next == PmAddr::NULL {
-                break;
-            }
-            cur = next;
-        }
-        if !reached_cursor {
-            return Err(LogError::Corrupt {
-                // pmlint: allow(no-unwrap) — reached_cursor starts false
-                // only when `from` is Some (see the initialisation above).
-                addr: from.expect("cursor present").offset(),
-            });
-        }
-        Ok(tail)
+        let chain = Self::walk_chain(pm, desc)?;
+        Self::walk_entries(&chain.chunks, chain.tail, from, |_, pos| {
+            Self::visit_entry(pm, pos, &mut f)
+        })?;
+        Ok(chain.tail)
     }
 
     /// Scans all surviving entries in chain order (used by tests and the
@@ -646,24 +687,25 @@ impl OpLog {
     ///
     /// [`LogError::Corrupt`] on undecodable state.
     pub fn scan(&self, mut f: impl FnMut(LogEntry, PmAddr)) -> Result<(), LogError> {
-        for &chunk in &self.chunks {
-            let end = if Self::chunk_of(self.tail) == chunk {
-                self.tail
-            } else {
-                PmAddr(chunk.offset() + ENTRY_END)
-            };
-            let mut pos = chunk + ENTRY_AREA;
-            while pos < end {
-                match LogEntry::decode(&self.pm, pos)? {
-                    None => pos = (pos + 1).align_up(CACHELINE),
-                    Some((e, _)) if e.op == LogOp::Seal => break,
-                    Some((e, len)) => {
-                        f(e, pos);
-                        pos += len as u64;
-                    }
-                }
+        Self::walk_entries(&self.chunks, self.tail, None, |_, pos| {
+            Self::visit_entry(&self.pm, pos, &mut f)
+        })
+    }
+
+    /// Full-decodes the entry at `pos` for [`scan`](Self::scan) and
+    /// [`scan_descriptor`](Self::scan_descriptor).
+    fn visit_entry(
+        pm: &PmRegion,
+        pos: PmAddr,
+        f: &mut impl FnMut(LogEntry, PmAddr),
+    ) -> Result<Step, LogError> {
+        Ok(match LogEntry::decode(pm, pos)? {
+            None => Step::Padding,
+            Some((e, _)) if e.op == LogOp::Seal => Step::ChunkEnd,
+            Some((e, len)) => {
+                f(e, pos);
+                Step::Entry(len as u64)
             }
-        }
-        Ok(())
+        })
     }
 }

@@ -448,3 +448,171 @@ fn padding_on_spends_more_space_than_padding_off() {
     assert!(used(&padded) > used(&packed));
     assert_eq!(used(&padded), 32 * 64, "one cacheline per padded batch");
 }
+
+/// Key of every entry log B leaves behind in the chunk it recycles.
+const B_KEY: u64 = 1 << 40;
+
+/// One of log A's batches: 512 cold keys written once and 512 hot keys
+/// overwritten by every batch, all at version `round + 1`.
+fn a_batch(round: u64) -> Vec<LogEntry> {
+    (0..1024u64)
+        .map(|i| {
+            let key = if i % 2 == 0 {
+                10_000 + round * 512 + i / 2
+            } else {
+                i / 2
+            };
+            LogEntry::put_ptr(key, round as u32 + 1, PmAddr(0x100))
+        })
+        .collect()
+}
+
+/// Builds the image a crash inside a chunk rollover leaves. Log B
+/// (descriptor at 64) writes 4 096 entries of `B_KEY` into a chunk and
+/// returns it to the pool; `spare` further chunks are taken and held, so
+/// the only free chunk is B's. Log A (descriptor at 0) appends
+/// [`a_batch`]es until one rolls over into B's recycled chunk; then the
+/// tail word is put back to its value before that batch, as a crash
+/// between the batch fence and the tail persist leaves it. Returns the
+/// region, the recycled chunk and each acked key's newest version.
+fn rollover_crash_image(spare: u32) -> (Arc<PmRegion>, PmAddr, HashMap<u64, u32>) {
+    let (pm, mgr) = setup(2 + spare, true);
+    let mut b = OpLog::create(Arc::clone(&mgr), PmAddr(64)).unwrap();
+    let old: Vec<_> = (1..=1024u32)
+        .map(|v| LogEntry::put_ptr(B_KEY, v, PmAddr(0x100)))
+        .collect();
+    for _ in 0..4 {
+        b.append_batch(&old).unwrap();
+    }
+    let recycled = b.chunks()[0];
+    let mut a = OpLog::create(Arc::clone(&mgr), PmAddr(0)).unwrap();
+    for _ in 0..spare {
+        mgr.take_raw_chunk().unwrap();
+    }
+    mgr.return_raw_chunk(recycled).unwrap();
+
+    let mut acked = HashMap::new();
+    for round in 0.. {
+        let before = a.tail();
+        let batch = a_batch(round);
+        a.append_batch(&batch).unwrap();
+        if a.chunks().len() > 1 {
+            assert_eq!(a.chunks()[1], recycled, "the rollover took B's chunk");
+            pm.write_u64(PmAddr(8), before.offset());
+            pm.persist(PmAddr(8), 8);
+            break;
+        }
+        acked.extend(batch.iter().map(|e| (e.key, e.version)));
+    }
+    drop(a);
+    pm.simulate_crash();
+    (pm, recycled, acked)
+}
+
+/// Recovers log A from `pm` (a pool of `nchunks`) and returns it with its
+/// chunk manager and each key's newest `(version, address)`.
+fn recover_a(
+    pm: &Arc<PmRegion>,
+    nchunks: u32,
+) -> (OpLog, Arc<ChunkManager>, HashMap<u64, (u32, PmAddr)>) {
+    let mgr = Arc::new(ChunkManager::recover(
+        Arc::clone(pm),
+        PmAddr(CHUNK_SIZE),
+        nchunks,
+    ));
+    let mut newest: HashMap<u64, (u32, PmAddr)> = HashMap::new();
+    let log = OpLog::recover_headers(Arc::clone(&mgr), PmAddr(0), None, |h, a| {
+        let e = newest.entry(h.key).or_insert((h.version, a));
+        if oplog::newer(h.version, e.0) {
+            *e = (h.version, a);
+        }
+    })
+    .unwrap();
+    (log, mgr, newest)
+}
+
+fn versions(newest: &HashMap<u64, (u32, PmAddr)>) -> HashMap<u64, u32> {
+    newest.iter().map(|(k, (v, _))| (*k, *v)).collect()
+}
+
+#[test]
+fn recovery_stops_at_the_tail_chunk_and_never_replays_a_recycled_one() {
+    let (pm, recycled, acked) = rollover_crash_image(0);
+    let (log, mgr, newest) = recover_a(&pm, 2);
+    assert!(
+        !newest.contains_key(&B_KEY),
+        "replayed log B's recycled chunk"
+    );
+    assert_eq!(versions(&newest), acked, "exactly the acked entries");
+    assert_eq!(log.chunks().len(), 1, "the chain ends at the tail's chunk");
+    assert_eq!(OpLog::chunk_of(log.tail()), log.chunks()[0]);
+    assert_eq!(mgr.free_chunks(), 1, "the orphan went back to the pool");
+    assert!(mgr.reserved_chunks().iter().all(|&c| c != recycled));
+
+    // The cut link is persistent: a second crash recovers the same log.
+    drop(log);
+    pm.simulate_crash();
+    let (log, _, again) = recover_a(&pm, 2);
+    assert_eq!(again, newest);
+    assert_eq!(log.chunks().len(), 1);
+}
+
+#[test]
+fn cleaning_after_a_rollover_crash_keeps_every_acked_entry() {
+    let (pm, _, mut acked) = rollover_crash_image(2);
+    let (mut log, mgr, mut newest) = recover_a(&pm, 4);
+    // As the engine does: chunks no chain reaches (the spare) go back.
+    for c in mgr.reserved_chunks() {
+        if !log.chunks().contains(&c) {
+            mgr.return_raw_chunk(c).unwrap();
+        }
+    }
+
+    // Append until the next rollover.
+    let chunks = log.chunks().len();
+    let mut round = 1_000;
+    while log.chunks().len() == chunks {
+        let batch = a_batch(round);
+        let addrs = log.append_batch(&batch).unwrap();
+        for (e, a) in batch.iter().zip(addrs) {
+            acked.insert(e.key, e.version);
+            newest.insert(e.key, (e.version, a));
+        }
+        round += 1;
+    }
+
+    // Clean the non-tail chunk with the fewest live entries (the last
+    // such in chain order on a tie), as a dead-ratio cleaner would.
+    let tail_chunk = OpLog::chunk_of(log.tail());
+    let live_in = |c: PmAddr| {
+        newest
+            .values()
+            .filter(|(_, a)| OpLog::chunk_of(*a) == c)
+            .count()
+    };
+    let victim = log
+        .chunks()
+        .iter()
+        .copied()
+        .filter(|&c| c != tail_chunk)
+        .min_by_key(|&c| (live_in(c), std::cmp::Reverse(c)))
+        .unwrap();
+    let relocs = log
+        .clean_chunk(victim, |h, a| newest.get(&h.key) == Some(&(h.version, a)))
+        .unwrap();
+    for r in relocs {
+        newest.insert(r.entry.key, (r.entry.version, r.new));
+    }
+    mgr.return_raw_chunk(victim).unwrap();
+
+    // A second crash must not lose any acked entry.
+    drop(log);
+    pm.simulate_crash();
+    let (_, _, after) = recover_a(&pm, 4);
+    let lost = acked
+        .iter()
+        .filter(|&(k, v)| after.get(k).map(|e| e.0) != Some(*v))
+        .count();
+    assert_eq!(lost, 0, "acked entries lost after the cleaner's unlink");
+    assert_eq!(versions(&after), acked);
+}
