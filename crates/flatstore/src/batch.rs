@@ -13,8 +13,6 @@ use pmem::PmAddr;
 
 use oplog::LogEntry;
 
-use crate::tuner::BatchTuner;
-
 /// Sentinel meaning "batch append failed" in a [`Completion`].
 const FAILED: u64 = u64::MAX;
 
@@ -205,12 +203,6 @@ impl PublishList {
         self.head.store(t, Ordering::Release);
         t.wrapping_sub(h) as usize
     }
-
-    /// Whether the list has published entries right now. Advisory (the
-    /// caller need not hold the token): feeds the tuner's backlog signal.
-    fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
-    }
 }
 
 /// One horizontal-batching group, rebuilt as a flat-combining publish
@@ -224,23 +216,10 @@ pub(crate) struct Group {
     tokens: Vec<AtomicBool>,
     /// Entries posted but not yet collected (cheap emptiness check).
     pub pending: AtomicUsize,
-    /// Adaptive controller ([`Config::adaptive`]); `None` keeps the
-    /// static sweep (every leader spans the whole group).
-    ///
-    /// [`Config::adaptive`]: crate::Config::adaptive
-    tuner: Option<Arc<BatchTuner>>,
 }
 
 impl Group {
     pub fn new(members: usize, list_capacity: usize) -> Arc<Group> {
-        Self::with_tuner(members, list_capacity, None)
-    }
-
-    pub fn with_tuner(
-        members: usize,
-        list_capacity: usize,
-        tuner: Option<Arc<BatchTuner>>,
-    ) -> Arc<Group> {
         let mut lists = Vec::with_capacity(members);
         lists.resize_with(members, || PublishList::new(list_capacity));
         let mut tokens = Vec::with_capacity(members);
@@ -249,13 +228,7 @@ impl Group {
             lists,
             tokens,
             pending: AtomicUsize::new(0),
-            tuner,
         })
-    }
-
-    /// The adaptive controller, when this group runs in adaptive mode.
-    pub fn tuner(&self) -> Option<&Arc<BatchTuner>> {
-        self.tuner.as_ref()
     }
 
     /// Posts an entry to `slot`'s publish list: one slot store, one
@@ -267,32 +240,16 @@ impl Group {
         Ok(())
     }
 
-    /// The sweep span of a leader at `slot`: the whole group statically,
-    /// or its current effective subgroup under the tuner.
-    fn sweep_range(&self, slot: usize) -> std::ops::Range<usize> {
-        match &self.tuner {
-            None => 0..self.lists.len(),
-            Some(t) => {
-                let eff = t.eff().max(1);
-                let base = slot - slot % eff;
-                base..(base + eff).min(self.lists.len())
-            }
-        }
-    }
-
-    /// The leader's steal (wait-free): claims each list in the sweep
-    /// range via its token CAS — skipping lists another leader holds —
-    /// drains what it wins and releases each token as soon as its list
-    /// is drained (pipelined HB's early release, Figure 4d). Returns how
-    /// many drained entries came off the leader's *own* list — the
-    /// tuner's skew signal (`fill - own` is the batch's stolen count).
-    pub fn collect(&self, slot: usize, out: &mut Vec<Posted>) -> usize {
+    /// The leader's steal (wait-free): claims each of the group's lists
+    /// via its token CAS — skipping lists another leader holds — drains
+    /// what it wins and releases each token as soon as its list is
+    /// drained (pipelined HB's early release, Figure 4d).
+    pub fn collect(&self, out: &mut Vec<Posted>) {
         let mut drained = 0;
-        let mut own = 0;
-        for s in self.sweep_range(slot) {
+        for (list, token) in self.lists.iter().zip(&self.tokens) {
             // Acquire on success orders this sweep after the previous
             // holder's head store.
-            if self.tokens[s]
+            if token
                 // pmlint: allow(relaxed-ordering) — failure load only: a
                 // lost CAS skips the held list, touching nothing it guards
                 // (test: held_list_is_skipped_until_its_token_clears).
@@ -301,25 +258,12 @@ impl Group {
             {
                 continue;
             }
-            let n = self.lists[s].drain(out);
-            drained += n;
-            if s == slot {
-                own = n;
-            }
-            self.tokens[s].store(false, Ordering::Release);
+            drained += list.drain(out);
+            token.store(false, Ordering::Release);
         }
         if drained > 0 {
             self.pending.fetch_sub(drained, Ordering::Release);
         }
-        own
-    }
-
-    /// Whether work is still published inside `slot`'s sweep range — the
-    /// tuner's backlog signal. Scoped to the subgroup on purpose: under a
-    /// narrowed sweep, other subgroups' lists are their own leaders'
-    /// business, and counting them would read as permanent congestion.
-    pub fn backlog(&self, slot: usize) -> bool {
-        self.sweep_range(slot).any(|s| !self.lists[s].is_empty())
     }
 }
 
@@ -696,8 +640,7 @@ mod tests {
         assert_eq!(g.pending.load(Ordering::Acquire), 4);
 
         let mut out = Vec::new();
-        let own = g.collect(0, &mut out);
-        assert_eq!(own, 4, "everything drained came off the leader's list");
+        g.collect(&mut out);
         let keys: Vec<u64> = out.iter().map(|p| p.entry.key).collect();
         assert_eq!(keys, vec![0, 1, 2, 3], "steal preserves post order");
         assert_eq!(g.pending.load(Ordering::Acquire), 0);
@@ -715,41 +658,19 @@ mod tests {
         g.tokens[0].store(true, Ordering::Release);
 
         let mut first = Vec::new();
-        let own = g.collect(1, &mut first);
+        g.collect(&mut first);
         let keys: Vec<u64> = first.iter().map(|p| p.entry.key).collect();
         assert_eq!(keys, vec![2], "the held list is skipped, not waited on");
-        assert_eq!(own, 1, "the one drained entry was the leader's own");
         assert_eq!(g.pending.load(Ordering::Acquire), 1);
 
         // Once the other leader clears the token, the next sweep takes
         // the list.
         g.tokens[0].store(false, Ordering::Release);
         let mut second = Vec::new();
-        assert_eq!(g.collect(1, &mut second), 0, "nothing left on its own list");
+        g.collect(&mut second);
         let keys: Vec<u64> = second.iter().map(|p| p.entry.key).collect();
         assert_eq!(keys, vec![1]);
         assert_eq!(g.pending.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn adaptive_sweep_spans_only_the_effective_subgroup() {
-        let tuner = BatchTuner::new(4, 2, 8);
-        let g = Group::with_tuner(4, 8, Some(tuner));
-        for slot in 0..4 {
-            assert!(g.post(slot, posted(slot as u64)).is_ok());
-        }
-        // eff = 2: leader at slot 0 sweeps lists {0, 1}, slot 2 sweeps
-        // {2, 3}.
-        let mut low = Vec::new();
-        g.collect(0, &mut low);
-        let mut keys: Vec<u64> = low.iter().map(|p| p.entry.key).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![0, 1]);
-        let mut high = Vec::new();
-        g.collect(2, &mut high);
-        let mut keys: Vec<u64> = high.iter().map(|p| p.entry.key).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![2, 3]);
     }
 
     /// The striped table must stay observation-equivalent to the single

@@ -86,13 +86,6 @@ pub struct Config {
     /// disables tracing). Unsampled operations pay one branch per stage
     /// and no clock reads, so `0` restores the pre-tracing fast path.
     pub trace_sample: u64,
-    /// Self-tuning horizontal batching: all cores share one publish
-    /// fabric and a per-epoch controller adjusts the leader linger window
-    /// and the effective sweep width, starting from `group_size` (which
-    /// becomes the initial operating point rather than a fixed wall).
-    /// `false` keeps the static groups bit-compatible with previous
-    /// releases.
-    pub adaptive: bool,
 }
 
 impl Default for Config {
@@ -109,7 +102,6 @@ impl Default for Config {
             pipeline_depth: 16,
             read_cache_bytes: 8 << 20,
             trace_sample: 0,
-            adaptive: false,
         }
     }
 }
@@ -264,12 +256,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Self-tuning horizontal batching (see [`Config::adaptive`]).
-    pub fn adaptive(mut self, v: bool) -> Self {
-        self.cfg.adaptive = v;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -323,25 +309,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.read_cache_bytes, 0);
-    }
-
-    #[test]
-    fn adaptive_defaults_off() {
-        let cfg = Config::builder()
-            .pm_bytes(64 << 20)
-            .ncores(2)
-            .group_size(2)
-            .build()
-            .unwrap();
-        assert!(!cfg.adaptive);
-        let cfg = Config::builder()
-            .pm_bytes(64 << 20)
-            .ncores(2)
-            .group_size(2)
-            .adaptive(true)
-            .build()
-            .unwrap();
-        assert!(cfg.adaptive);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::request::{Op, Reply, StoreFabric};
 use crate::session::{EngineShared, Session};
 use crate::shard::{core_of, Shard};
 use crate::superblock::{Superblock, POOL_BASE};
-use crate::tuner::BatchTuner;
 use crate::value::{pack, unpack};
 use crate::vindex::VolatileIndex;
 
@@ -265,9 +264,6 @@ pub struct FlatStore {
     /// Hot-value read cache (`None` when `read_cache_bytes == 0`). Volatile
     /// by construction: create/open/promote all start it empty.
     cache: Option<Arc<ReadCache>>,
-    /// Adaptive-batching controllers (empty in static mode) — kept for
-    /// the `batch_tuner` stats section.
-    tuners: Vec<Arc<BatchTuner>>,
     /// How `open` rebuilt the volatile state (`None` after `create`).
     recovery: Option<Recovery>,
     shared: Arc<EngineShared>,
@@ -847,30 +843,10 @@ impl FlatStore {
         // leader sweeps; several full pipelines of headroom keeps the
         // self-persist overflow path a cold corner case.
         let list_capacity = (cfg.pipeline_depth * 8).max(128);
-        let (groups, tuners): (Vec<Arc<Group>>, Vec<Arc<BatchTuner>>) = if cfg.adaptive {
-            // Adaptive mode: one publish fabric spanning every core, with
-            // the configured group_size as the controller's starting
-            // effective sweep width — it can grow past it under
-            // contention or shrink below it when batches run empty.
-            let tuner = BatchTuner::new(ncores, cfg.group_size, cfg.pipeline_depth as u64);
-            (
-                vec![Group::with_tuner(
-                    ncores,
-                    list_capacity,
-                    Some(Arc::clone(&tuner)),
-                )],
-                vec![tuner],
-            )
-        } else {
-            let ngroups = ncores.div_ceil(cfg.group_size);
-            let groups = (0..ngroups)
-                .map(|g| {
-                    let members = (ncores - g * cfg.group_size).min(cfg.group_size);
-                    Group::new(members, list_capacity)
-                })
-                .collect();
-            (groups, Vec::new())
-        };
+        // `validate` guarantees `group_size` divides `ncores`.
+        let groups: Vec<Arc<Group>> = (0..ncores / cfg.group_size)
+            .map(|_| Group::new(cfg.group_size, list_capacity))
+            .collect();
 
         // Ring capacity covers a full pipeline plus one control message
         // per core, so the agent can always complete a response without
@@ -891,7 +867,6 @@ impl FlatStore {
             let cache = cache.clone();
             let pm = Arc::clone(&pm);
             let mgr = Arc::clone(&mgr);
-            let tuners = tuners.clone();
             flight.set_stats_source(move || {
                 Self::render_report(
                     &stats,
@@ -899,7 +874,6 @@ impl FlatStore {
                     cache.as_ref(),
                     &pm,
                     &mgr,
-                    &tuners,
                     recovery.as_ref(),
                 )
                 .to_json()
@@ -932,16 +906,8 @@ impl FlatStore {
                 Arc::clone(&usage),
                 Arc::clone(&quarantine),
                 Arc::clone(&ckpt),
-                if cfg.adaptive {
-                    Arc::clone(&groups[0])
-                } else {
-                    Arc::clone(&groups[core / cfg.group_size])
-                },
-                if cfg.adaptive {
-                    core
-                } else {
-                    core % cfg.group_size
-                },
+                Arc::clone(&groups[core / cfg.group_size]),
+                core % cfg.group_size,
                 cfg.gc,
                 Arc::clone(&stats),
                 server,
@@ -975,7 +941,6 @@ impl FlatStore {
             ckpt,
             stats,
             cache,
-            tuners,
             recovery,
             shared,
             handle,
@@ -1058,7 +1023,6 @@ impl FlatStore {
             self.cache.as_ref(),
             &self.pm,
             &self.mgr,
-            &self.tuners,
             self.recovery.as_ref(),
         )
     }
@@ -1072,16 +1036,10 @@ impl FlatStore {
         cache: Option<&Arc<ReadCache>>,
         pm: &PmRegion,
         mgr: &ChunkManager,
-        tuners: &[Arc<BatchTuner>],
         recovery: Option<&Recovery>,
     ) -> obs::StatsReport {
         let mut r = obs::StatsReport::new("flatstore");
         stats.fill_report(&mut r);
-        // Adaptive mode only: decision counters + the current operating
-        // point (static runs keep the report byte-identical to before).
-        for tuner in tuners {
-            tuner.fill_section(r.section("batch_tuner"));
-        }
         {
             use racecheck::sync::atomic::Ordering::Relaxed;
             let fs = fabric.stats();

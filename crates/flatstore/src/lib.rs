@@ -98,7 +98,6 @@ mod request;
 mod session;
 mod shard;
 mod superblock;
-mod tuner;
 mod value;
 mod vindex;
 

@@ -650,50 +650,19 @@ impl Shard {
     /// consumer token is claimed with a CAS, so there is no group lock to
     /// contend on and concurrent leaders simply partition the lists.
     fn lead(&mut self) -> bool {
-        let group = Arc::clone(&self.group);
-        if group.pending.load(Ordering::Acquire) == 0 {
+        if self.group.pending.load(Ordering::Acquire) == 0 {
             return false;
         }
         // Each list is released as soon as it is drained (Figure 4d's
         // early release, per list instead of per group), so followers keep
         // posting while this leader flushes.
         let mut posts = Vec::new();
-        let mut own = group.collect(self.slot, &mut posts);
+        self.group.collect(&mut posts);
         if posts.is_empty() {
             return false;
         }
-        own += self.linger(&group, &mut posts);
-        let fill = posts.len() as u64;
-        let stolen = fill.saturating_sub(own as u64);
         self.persist_posts(posts);
-        if let Some(tuner) = group.tuner() {
-            tuner.observe_batch(fill, stolen, group.backlog(self.slot), clock::now_ns());
-        }
         true
-    }
-
-    /// Adaptive leader linger: with a batch started but under-filled, keep
-    /// re-sweeping until the tuner's window closes or the target fill is
-    /// reached — trading bounded latency for flush amortization. Static
-    /// groups (no tuner) never linger. Returns how many of the absorbed
-    /// entries came off this leader's own list.
-    fn linger(&mut self, group: &Group, posts: &mut Vec<Posted>) -> usize {
-        let Some(tuner) = group.tuner() else { return 0 };
-        let target = tuner.target_fill() as usize;
-        let linger_ns = tuner.linger_ns();
-        if linger_ns == 0 || posts.len() >= target {
-            return 0;
-        }
-        let mut own = 0;
-        let deadline = std::time::Instant::now() + Duration::from_nanos(linger_ns);
-        while posts.len() < target && std::time::Instant::now() < deadline {
-            if group.pending.load(Ordering::Acquire) > 0 {
-                own += group.collect(self.slot, posts);
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        own
     }
 
     /// Appends a collected batch to this core's log and fulfils the
@@ -932,10 +901,11 @@ impl Shard {
                             self.usage.note_dead(old_addr);
                             // Free the previous version's out-of-log block
                             // (safe within the cleaner's grace period). Still
-                            // a full decode, unlike `block_of`: the CPU it
-                            // costs per overwrite is what HB batches form
-                            // in — EXPERIMENTS.md, PR 13, "pm_write_amp
-                            // follows shard CPU time".
+                            // a full decode, unlike `block_of`. A header-only
+                            // decode (CRC still checked) was measured to move
+                            // static `pm_write_amp` by only +0.3 %
+                            // (EXPERIMENTS.md, "One batching policy"), so the
+                            // saving is free to take without a batching rule.
                             if let Ok(e) = self.log.read_entry(old_addr) {
                                 if let Payload::Ptr(b) = e.payload {
                                     let _ = self.alloc.free(b);

@@ -10,15 +10,24 @@ use proptest::prelude::*;
 use workloads::value_bytes;
 
 fn cfg(ncores: usize, depth: usize) -> Config {
+    grouped(ncores, ncores, depth)
+}
+
+/// `ncores` server cores in HB groups of `group_size`.
+fn grouped(ncores: usize, group_size: usize, depth: usize) -> Config {
     Config::builder()
         .pm_bytes(64 << 20)
         .dram_bytes(8 << 20)
         .ncores(ncores)
-        .group_size(ncores)
+        .group_size(group_size)
         .pipeline_depth(depth)
         .build()
         .expect("valid test config")
 }
+
+/// The HB layouts the session tests run on, as `(ncores, group_size)`:
+/// one group spanning every core, and two groups of two.
+const LAYOUTS: [(usize, usize); 2] = [(2, 2), (4, 2)];
 
 /// What one submitted op should complete with, per a sequential replay of
 /// the whole script. Per-key completions are promised in submission order
@@ -43,14 +52,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// A depth-8 session under a random put/delete/get script over a hot
-    /// key space: every ticket completes exactly once, a harvested ticket
-    /// is gone, per-key completion order equals submission order, and each
-    /// completion carries the sequentially-consistent result.
+    /// key space, on each of the [`LAYOUTS`]: every ticket completes
+    /// exactly once, a harvested ticket is gone, per-key completion order
+    /// equals submission order, and each completion carries the
+    /// sequentially-consistent result.
     #[test]
     fn pipelined_script_completes_exactly_once_in_per_key_order(
+        layout in 0..LAYOUTS.len(),
         ops in proptest::collection::vec((0..3u8, 0..12u64), 1..150)
     ) {
-        let store = FlatStore::create(cfg(2, 8)).unwrap();
+        let (ncores, group_size) = LAYOUTS[layout];
+        let store = FlatStore::create(grouped(ncores, group_size, 8)).unwrap();
         let mut session = store.session().unwrap();
 
         let mut submitted: HashMap<Ticket, usize> = HashMap::new();
@@ -102,85 +114,47 @@ proptest! {
 /// The regression the pipeline exists to prevent: with blocking depth-1
 /// clients a core's batch rarely exceeds one entry, but 4 sessions at
 /// depth 8 must keep enough puts in flight that horizontal batching
-/// amortises persists across entries (mean batch size > 1).
+/// amortises persists across entries (mean batch size > 1), whether one
+/// group spans all 4 cores or two groups of two split them — and every
+/// write must read back.
 #[test]
 fn pipelined_sessions_fill_hb_batches() {
-    let store = FlatStore::create(cfg(4, 8)).unwrap();
+    for group_size in [4, 2] {
+        let store = FlatStore::create(grouped(4, group_size, 8)).unwrap();
 
-    std::thread::scope(|s| {
+        std::thread::scope(|s| {
+            for client in 0..4u64 {
+                let mut session = store.session().unwrap();
+                s.spawn(move || {
+                    for i in 0..2_000u64 {
+                        let key = client * 100_000 + i % 512;
+                        session.submit(Op::put(key, value_bytes(i, 32))).unwrap();
+                    }
+                    for (_, r) in session.wait_all().unwrap() {
+                        assert_eq!(r, Reply::Put(Ok(())));
+                    }
+                });
+            }
+        });
+
+        let avg = store.stats().avg_batch();
+        assert!(
+            avg > 1.0,
+            "4 clients x depth 8 in groups of {group_size} should batch more \
+             than one entry per persist, got {avg:.3}"
+        );
         for client in 0..4u64 {
-            let mut session = store.session().unwrap();
-            s.spawn(move || {
-                for i in 0..2_000u64 {
-                    let key = client * 100_000 + i % 512;
-                    session.submit(Op::put(key, value_bytes(i, 32))).unwrap();
-                }
-                for (_, r) in session.wait_all().unwrap() {
-                    assert_eq!(r, Reply::Put(Ok(())));
-                }
-            });
+            for k in 0..512u64 {
+                let last = (k..2_000).step_by(512).last().unwrap();
+                assert_eq!(
+                    store.get(client * 100_000 + k).unwrap(),
+                    Some(value_bytes(last, 32)),
+                    "groups of {group_size}: client {client} key {k}"
+                );
+            }
         }
-    });
-
-    let avg = store.stats().avg_batch();
-    assert!(
-        avg > 1.0,
-        "4 clients x depth 8 should batch more than one entry per persist, got {avg:.3}"
-    );
-    store.shutdown().unwrap();
-}
-
-/// Adaptive mode must preserve the same batching property end-to-end —
-/// same workload as above, but on the single publish fabric with the
-/// tuner live — and its report must carry the `batch_tuner` section
-/// (which static runs must NOT emit).
-#[test]
-fn adaptive_sessions_fill_hb_batches_and_report_tuner() {
-    let mut c = cfg(4, 8);
-    c.adaptive = true;
-    let store = FlatStore::create(c).unwrap();
-
-    std::thread::scope(|s| {
-        for client in 0..4u64 {
-            let mut session = store.session().unwrap();
-            s.spawn(move || {
-                for i in 0..2_000u64 {
-                    let key = client * 100_000 + i % 512;
-                    session.submit(Op::put(key, value_bytes(i, 32))).unwrap();
-                }
-                for (_, r) in session.wait_all().unwrap() {
-                    assert_eq!(r, Reply::Put(Ok(())));
-                }
-            });
-        }
-    });
-
-    let avg = store.stats().avg_batch();
-    assert!(
-        avg > 1.0,
-        "adaptive mode must batch more than one entry per persist, got {avg:.3}"
-    );
-    let report = store.stats_report();
-    assert!(
-        report.sections.iter().any(|s| s.title == "batch_tuner"),
-        "adaptive run must report the batch_tuner section"
-    );
-    // Writes must read back (the swept-subgroup sweep may not drop ops).
-    for client in 0..4u64 {
-        let key = client * 100_000;
-        assert!(store.get(key).unwrap().is_some(), "key {key} lost");
+        store.shutdown().unwrap();
     }
-    store.shutdown().unwrap();
-}
-
-/// Static runs keep the report vocabulary unchanged: no tuner section.
-#[test]
-fn static_runs_do_not_report_a_tuner_section() {
-    let store = FlatStore::create(cfg(2, 4)).unwrap();
-    store.put(1, b"v").unwrap();
-    let report = store.stats_report();
-    assert!(report.sections.iter().all(|s| s.title != "batch_tuner"));
-    store.shutdown().unwrap();
 }
 
 /// The backoff ladder in `Session::wait` must never throttle an *active*

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use indexes::{Cceh, FastFair, Index, Mode};
 use masstree::Masstree;
 use obs::{Event, EventRing, Sampler, Span, SpanCtx, Stage, StageSet};
-use oplog::{LogEntry, LogOp, OpLog, Payload, INLINE_MAX};
+use oplog::{newer, LogEntry, LogOp, OpLog, Payload, INLINE_MAX, VERSION_MASK};
 use pmalloc::{ChunkManager, CoreAllocator, CHUNK_SIZE};
 use pmem::cost::Device;
 use pmem::{PmAddr, PmRegion};
@@ -22,38 +22,12 @@ use crate::params::{ExecModel, SimConfig, SimIndex, WorkloadSpec};
 
 const ADDR_BITS: u32 = 42;
 const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
-const VERSION_MASK: u32 = 0xF_FFFF;
 /// Core stall before retrying when the PM pool is momentarily exhausted.
 const RETRY_NS: f64 = 20_000.0;
 /// Cleaner poll interval.
 const CLEANER_POLL_NS: f64 = 20_000.0;
 /// Cheap per-read charge for the cleaner's sequential scans.
 const GC_SCAN_READ_NS: f64 = 4.0;
-
-// ---- Adaptive-batching controller (DES twin of `flatstore::tuner`) ----
-// These constants and the state machine in `TunerSim` must match the
-// engine's `BatchTuner` exactly, so sweeps over this simulation predict
-// the real adaptive operating point.
-/// Batches per tuning epoch.
-const EPOCH_BATCHES: u64 = 32;
-/// Epochs in one measurement phase (baseline hold or probe).
-const PROBE_EPOCHS: u64 = 6;
-/// Shortest hold between probes (epochs).
-const HOLD_MIN: u64 = 6;
-/// Longest hold between probes (failed probes double toward this).
-const HOLD_MAX: u64 = 48;
-/// Relative throughput gain a probe must show to be adopted.
-const DEADBAND: f64 = 0.02;
-/// Relative throughput shift that re-arms a settled tuner's probing.
-const REARM_FRACTION: f64 = 0.15;
-/// Upper bound on the leader linger window.
-const MAX_LINGER_NS: f64 = 20_000.0;
-/// Additive linger increase per congested epoch.
-const LINGER_STEP_NS: f64 = 2_000.0;
-/// Mean fill at or below which the group counts as starved.
-const STARVED_FILL: f64 = 1.25;
-/// Fraction of the target fill at which batches count as full enough.
-const FULL_FRACTION: f64 = 0.75;
 
 #[inline]
 fn pack(version: u32, addr: u64) -> u64 {
@@ -146,174 +120,6 @@ struct PostSlot {
 struct GroupSim {
     pool: Vec<usize>,
     lock_free_at: f64,
-    /// Adaptive runs only: per-subgroup-base early-release times (each
-    /// effective subgroup has its own leader token, exactly the per-list
-    /// consumer tokens in `flatstore::batch::Group`). Empty when static —
-    /// the static path keeps using `lock_free_at`, bit-identically.
-    base_free: Vec<f64>,
-}
-
-/// Deterministic mirror of `flatstore::tuner::BatchTuner`: plain fields
-/// instead of atomics (the DES is single-threaded), same epoch length,
-/// bounds, linger ladder and hold→probe→confirm→adopt-or-settle state
-/// machine.
-/// Throughput phases are measured against the simulation's virtual clock
-/// (the engine uses the wall clock), and integer linger halving is
-/// mirrored with `floor` so both controllers walk the identical ladder.
-struct TunerSim {
-    members: usize,
-    target_fill: u64,
-    linger_ns: f64,
-    eff: usize,
-    epoch_batches: u64,
-    epoch_entries: u64,
-    epoch_backlog: u64,
-    phase_entries: u64,
-    /// Virtual time at the phase start; 0 = measurement not yet armed.
-    phase_start_ns: f64,
-    phase_left: u64,
-    probing: bool,
-    /// Post-probe baseline re-measurement (the A2 of an A/B/A cycle).
-    confirming: bool,
-    /// Converged: probing stopped until epoch throughput leaves the
-    /// re-arm band around the settled baseline.
-    settled: bool,
-    hold_len: u64,
-    dir_down: bool,
-    base_eff: usize,
-    base_tput: f64,
-    /// Probe candidate width and its measured throughput, pending confirm.
-    cand_eff: usize,
-    probe_tput: f64,
-}
-
-impl TunerSim {
-    fn new(members: usize, eff0: usize, target_fill: u64) -> TunerSim {
-        TunerSim {
-            members,
-            target_fill: target_fill.max(1),
-            linger_ns: 0.0,
-            eff: eff0.clamp(1, members),
-            epoch_batches: 0,
-            epoch_entries: 0,
-            epoch_backlog: 0,
-            phase_entries: 0,
-            phase_start_ns: 0.0,
-            phase_left: HOLD_MIN,
-            probing: false,
-            confirming: false,
-            settled: false,
-            hold_len: HOLD_MIN,
-            dir_down: true,
-            base_eff: eff0.clamp(1, members),
-            base_tput: 0.0,
-            cand_eff: eff0.clamp(1, members),
-            probe_tput: 0.0,
-        }
-    }
-
-    fn observe(&mut self, fill: u64, backlog: bool, now_ns: f64) {
-        self.epoch_entries += fill;
-        self.epoch_backlog += u64::from(backlog);
-        self.epoch_batches += 1;
-        if self.epoch_batches.is_multiple_of(EPOCH_BATCHES) {
-            self.retune(now_ns);
-        }
-    }
-
-    fn retune(&mut self, now_ns: f64) {
-        let entries = self.epoch_entries;
-        let backlog = self.epoch_backlog;
-        self.epoch_entries = 0;
-        self.epoch_backlog = 0;
-        // Signal-driven linger law (engine's `retune_linger`).
-        let mean_fill = entries as f64 / EPOCH_BATCHES as f64;
-        let congested = backlog >= EPOCH_BATCHES / 4;
-        if mean_fill >= self.target_fill as f64 * FULL_FRACTION || mean_fill <= STARVED_FILL {
-            self.linger_ns = (self.linger_ns / 2.0).floor();
-        } else if congested {
-            self.linger_ns = (self.linger_ns + LINGER_STEP_NS).min(MAX_LINGER_NS);
-        }
-        // Measured sweep-width law (engine's `retune_eff`).
-        if self.phase_start_ns == 0.0 || now_ns <= self.phase_start_ns {
-            self.phase_start_ns = now_ns.max(f64::MIN_POSITIVE);
-            self.phase_entries = 0;
-            return;
-        }
-        self.phase_entries += entries;
-        self.phase_left = self.phase_left.saturating_sub(1);
-        if self.phase_left > 0 {
-            return;
-        }
-        let tput = self.phase_entries as f64 / (now_ns - self.phase_start_ns);
-        self.phase_entries = 0;
-        self.phase_start_ns = now_ns;
-        if self.probing {
-            self.finish_probe(tput);
-        } else if self.confirming {
-            self.decide(tput);
-        } else if self.settled {
-            // Zero-churn watch: stay at the settled width, re-arm the
-            // probe ladder only when measured load genuinely moves.
-            if (tput / self.base_tput - 1.0).abs() > REARM_FRACTION {
-                self.settled = false;
-                self.hold_len = HOLD_MIN;
-                self.phase_left = HOLD_MIN;
-            } else {
-                self.phase_left = PROBE_EPOCHS;
-            }
-        } else {
-            self.start_probe(tput);
-        }
-    }
-
-    fn start_probe(&mut self, base_tput: f64) {
-        self.base_tput = base_tput;
-        self.base_eff = self.eff;
-        let mut cand = Self::step(self.eff, self.dir_down, self.members);
-        if cand == self.eff {
-            self.dir_down = !self.dir_down;
-            cand = Self::step(self.eff, self.dir_down, self.members);
-        }
-        if cand == self.eff {
-            self.phase_left = self.hold_len;
-            return;
-        }
-        self.eff = cand;
-        self.probing = true;
-        self.phase_left = PROBE_EPOCHS;
-    }
-
-    fn finish_probe(&mut self, probe_tput: f64) {
-        self.probing = false;
-        self.confirming = true;
-        self.cand_eff = self.eff;
-        self.probe_tput = probe_tput;
-        self.eff = self.base_eff;
-        self.phase_left = PROBE_EPOCHS;
-    }
-
-    fn decide(&mut self, confirm_tput: f64) {
-        self.confirming = false;
-        let bar = self.base_tput.max(confirm_tput) * (1.0 + DEADBAND);
-        if self.probe_tput > bar {
-            self.eff = self.cand_eff;
-            self.hold_len = HOLD_MIN;
-        } else {
-            self.dir_down = !self.dir_down;
-            self.hold_len = (self.hold_len * 2).min(HOLD_MAX);
-            self.settled = self.hold_len == HOLD_MAX;
-        }
-        self.phase_left = self.hold_len;
-    }
-
-    fn step(cur: usize, down: bool, members: usize) -> usize {
-        if down {
-            (cur / 2).max(1)
-        } else {
-            (cur * 2).min(members)
-        }
-    }
 }
 
 struct CoreSim {
@@ -448,9 +254,6 @@ pub(crate) struct FlatSim {
     index: VIndex,
     cores: Vec<CoreSim>,
     groups: Vec<GroupSim>,
-    /// Adaptive-batching controller; `Some` only for adaptive
-    /// `PipelinedHb` runs (one tuner — the whole fabric is one group).
-    tuner: Option<TunerSim>,
     cleaners: Vec<CleanerSim>,
     posts: Vec<PostSlot>,
     clients: ClientPool,
@@ -493,10 +296,6 @@ impl FlatSim {
             cfg.pool_chunks,
         ));
         let ngroups = cfg.ncores.div_ceil(cfg.group_size);
-        // Adaptive batching only reshapes `PipelinedHb` (the flag is
-        // inert otherwise): one batching group spans every core, while
-        // cleaners and device streams keep the physical partitioning.
-        let adaptive = cfg.adaptive && model == ExecModel::PipelinedHb;
         let mut cores = Vec::with_capacity(cfg.ncores);
         if cfg.ablate.eager_alloc {
             mgr.set_eager_persist(true);
@@ -515,27 +314,16 @@ impl FlatSim {
                 pending: HashMap::new(),
                 deferred: VecDeque::new(),
                 inflight: Vec::new(),
-                group: if adaptive { 0 } else { c / cfg.group_size },
+                group: c / cfg.group_size,
                 cache: SimCache::new(cfg.read_cache_entries),
             });
         }
-        let nbatch = if adaptive { 1 } else { ngroups };
-        let groups = (0..nbatch)
+        let groups = (0..ngroups)
             .map(|_| GroupSim {
                 pool: Vec::new(),
                 lock_free_at: 0.0,
-                base_free: if adaptive {
-                    vec![0.0; cfg.ncores]
-                } else {
-                    Vec::new()
-                },
             })
             .collect();
-        // `group_size` is the initial sweep width; `client_batch` is the
-        // target fill (the engine uses `pipeline_depth`: one client's
-        // whole pipeline amortized by one flush).
-        let tuner =
-            adaptive.then(|| TunerSim::new(cfg.ncores, cfg.group_size, cfg.client_batch as u64));
         let cleaners = (0..ngroups)
             .map(|_| CleanerSim {
                 clock: if cfg.gc {
@@ -567,7 +355,6 @@ impl FlatSim {
             index,
             cores,
             groups,
-            tuner,
             cleaners,
             posts: Vec::new(),
             clients,
@@ -1068,30 +855,7 @@ impl FlatSim {
             return t;
         }
         let g = self.cores[i].group;
-        if self.groups[g].pool.is_empty() {
-            return t;
-        }
-        // Adaptive runs sweep only the effective subgroup around this
-        // core, and each subgroup base carries its own leader token (the
-        // per-list consumer tokens of the real publish fabric).
-        let (base, hi, linger_ns, target) = match &self.tuner {
-            Some(tu) => {
-                let base = i - i % tu.eff;
-                (
-                    base,
-                    (base + tu.eff).min(self.cfg.ncores),
-                    tu.linger_ns,
-                    tu.target_fill,
-                )
-            }
-            None => (0, self.cfg.ncores, 0.0, 0),
-        };
-        let free_at = if self.tuner.is_some() {
-            self.groups[g].base_free[base]
-        } else {
-            self.groups[g].lock_free_at
-        };
-        if free_at > t {
+        if self.groups[g].pool.is_empty() || self.groups[g].lock_free_at > t {
             return t;
         }
         let lock_start = t;
@@ -1100,8 +864,7 @@ impl FlatSim {
         {
             let posts = &self.posts;
             self.groups[g].pool.retain(|&id| {
-                let p = &posts[id];
-                if p.core >= base && p.core < hi && p.post_time <= t {
+                if posts[id].post_time <= t {
                     ids.push(id);
                     false
                 } else {
@@ -1110,37 +873,6 @@ impl FlatSim {
             });
         }
         t += ids.len() as f64 * self.cfg.cpu.collect_per_entry_ns;
-        // Linger: an under-filled adaptive leader keeps re-sweeping its
-        // subgroup until the window closes or the batch reaches the
-        // target fill, absorbing posts as they land in virtual time.
-        if self.model == ExecModel::PipelinedHb
-            && !ids.is_empty()
-            && linger_ns > 0.0
-            && (ids.len() as u64) < target
-        {
-            let deadline = t + linger_ns;
-            while (ids.len() as u64) < target {
-                let mut pick: Option<(usize, f64)> = None;
-                for (pos, &id) in self.groups[g].pool.iter().enumerate() {
-                    let p = &self.posts[id];
-                    if p.core >= base
-                        && p.core < hi
-                        && p.post_time <= deadline
-                        && pick.is_none_or(|(_, pt)| p.post_time < pt)
-                    {
-                        pick = Some((pos, p.post_time));
-                    }
-                }
-                let Some((pos, post_time)) = pick else {
-                    // Nothing else lands inside the window: wait it out.
-                    t = deadline;
-                    break;
-                };
-                let id = self.groups[g].pool.swap_remove(pos);
-                t = t.max(post_time) + self.cfg.cpu.collect_per_entry_ns;
-                ids.push(id);
-            }
-        }
         let stolen = ids.iter().filter(|&&id| self.posts[id].core != i).count();
         if stolen > 0 {
             if let Some(events) = self.events.as_mut() {
@@ -1153,11 +885,7 @@ impl FlatSim {
         }
         if self.model == ExecModel::PipelinedHb {
             // Early release: the next leader can collect while we flush.
-            if self.tuner.is_some() {
-                self.groups[g].base_free[base] = t;
-            } else {
-                self.groups[g].lock_free_at = t;
-            }
+            self.groups[g].lock_free_at = t;
             if let Some(ring) = self.events.as_mut() {
                 ring.push(
                     Event::span("group_lock", "hb", i as u32, lock_start as u64, t as u64)
@@ -1166,22 +894,7 @@ impl FlatSim {
             }
         }
         if !ids.is_empty() {
-            let fill = ids.len() as u64;
             t = self.persist_ids(i, t, ids);
-            // Leader-side tuner report, exactly the engine's: the batch's
-            // fill, whether the *subgroup* still had posted work afterwards
-            // (other subgroups' lists are their own leaders' business), and
-            // the (virtual) clock for throughput-phase accounting.
-            if self.tuner.is_some() {
-                let posts = &self.posts;
-                let backlog = self.groups[g].pool.iter().any(|&id| {
-                    let p = &posts[id];
-                    p.core >= base && p.core < hi && p.post_time <= t
-                });
-                if let Some(tu) = self.tuner.as_mut() {
-                    tu.observe(fill, backlog, t);
-                }
-            }
         }
         if self.model == ExecModel::NaiveHb {
             self.groups[g].lock_free_at = t;
@@ -1229,7 +942,7 @@ impl FlatSim {
             let newest = self
                 .index
                 .get(i, key)
-                .is_none_or(|cur| unpack(cur).0 < version);
+                .is_none_or(|cur| newer(version, unpack(cur).0));
             if newest {
                 let old = self.index.insert(i, key, pack(version, addr));
                 if let Some(old) = old {
@@ -1309,31 +1022,14 @@ impl FlatSim {
             }
         }
         let g = core.group;
-        if !self.groups[g].pool.is_empty() {
-            // Adaptive: this core can only lead its own effective
-            // subgroup, so posts outside it never wake it (their owners
-            // are always lead-eligible for them).
-            let (base, hi, free_at) = match &self.tuner {
-                Some(tu) => {
-                    let base = i - i % tu.eff;
-                    (
-                        base,
-                        (base + tu.eff).min(self.cfg.ncores),
-                        self.groups[g].base_free[base],
-                    )
-                }
-                None => (0, self.cfg.ncores, self.groups[g].lock_free_at),
-            };
-            let earliest_post = self.groups[g]
+        let group = &self.groups[g];
+        if !group.pool.is_empty() {
+            let earliest_post = group
                 .pool
                 .iter()
-                .map(|&id| &self.posts[id])
-                .filter(|p| p.core >= base && p.core < hi)
-                .map(|p| p.post_time)
+                .map(|&id| self.posts[id].post_time)
                 .fold(f64::INFINITY, f64::min);
-            if earliest_post.is_finite() {
-                next = next.min(earliest_post.max(free_at).max(t));
-            }
+            next = next.min(earliest_post.max(group.lock_free_at).max(t));
         }
         // Something to do *right now* (deferred retries resolved by the
         // above wake conditions anyway).

@@ -191,16 +191,6 @@ pub struct SimConfig {
     pub ncores: usize,
     /// Cores per horizontal-batching group.
     pub group_size: usize,
-    /// Adaptive horizontal batching, mirroring the engine's
-    /// `Config::adaptive`: one publish fabric spans every core and the
-    /// DES twin of the engine's `BatchTuner` (same epoch length, bounds
-    /// and ladder moves) retunes the effective sweep width and the
-    /// leader linger window each epoch. `group_size` becomes the initial
-    /// sweep width; cleaners and device streams keep the physical
-    /// `group_size` partitioning. Only meaningful with
-    /// [`ExecModel::PipelinedHb`] — for every other model the flag is
-    /// inert and the simulation stays bit-identical to `adaptive: false`.
-    pub adaptive: bool,
     /// Closed-loop client threads.
     pub clients: usize,
     /// Requests per client batch (paper's default is 8).
@@ -271,7 +261,6 @@ impl Default for SimConfig {
             },
             ncores: 36,
             group_size: 18,
-            adaptive: false,
             clients: 288,
             client_batch: 8,
             keyspace: 200_000,

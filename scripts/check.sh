@@ -74,9 +74,12 @@ test -s "$smoke/trace.json"
 
 echo "== smoke-scale figures + DES golden =="
 # Every deterministic bench target rewrites BENCH_des/quick/<target>.jsonl;
-# the committed files are the golden. Any changed or untracked file there
-# means a DES figure moved: commit the new golden and explain the delta
-# in EXPERIMENTS.md.
+# the committed files are the golden. The sweep starts from an empty
+# directory, so a golden whose target is gone shows up as deleted. Any
+# changed, deleted or untracked file there means a DES figure moved or
+# lost its target: commit the new golden (or delete the orphan) and
+# explain the delta in EXPERIMENTS.md.
+rm -f BENCH_des/quick/*.jsonl
 FLATBENCH_QUICK=1 cargo bench --workspace --offline
 golden="$(git status --porcelain -- BENCH_des/quick)"
 if [ -n "$golden" ]; then
