@@ -54,8 +54,8 @@ mod ring;
 pub use ring::{ring, Consumer, Producer};
 
 use obs::span::{Span, SpanCtx, Stage};
-use racecheck::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use racecheck::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The fabric's monotonic clock: nanoseconds since a process-wide
 /// epoch, so stamps taken on any thread (client sessions, server cores,

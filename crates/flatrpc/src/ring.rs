@@ -1,11 +1,19 @@
 //! A bounded single-producer / single-consumer ring — the shared-memory
 //! stand-in for an RDMA-written message buffer.
+//!
+//! The happens-before protocol, checked on this source by
+//! `racecheck_tests::three_messages_through_one_slot`:
+//! * producer → consumer: the slot write is published by the `Release`
+//!   store on `tail` and observed through the consumer's `Acquire` load;
+//! * consumer → producer: the slot read is published by the `Release`
+//!   store on `head`, so a producer that sees the freed slot via its
+//!   `Acquire` load may overwrite it.
 
 use racecheck::sync::atomic::{AtomicUsize, Ordering};
-use racecheck::sync::Arc;
-use std::cell::UnsafeCell;
+use racecheck::sync::RaceCell;
 use std::mem::MaybeUninit;
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// Pads and aligns a value to 128 bytes so the producer's and the
 /// consumer's index never share a cacheline (two 64 B lines: safe
@@ -23,13 +31,11 @@ impl<T> Deref for CachePadded<T> {
 struct Inner<T> {
     head: CachePadded<AtomicUsize>, // next slot to pop
     tail: CachePadded<AtomicUsize>, // next slot to push
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    slots: Box<[RaceCell<MaybeUninit<T>>]>,
 }
 
 // SAFETY: slots are accessed exclusively by the single producer (tail side)
 // or the single consumer (head side), synchronized through the indices.
-unsafe impl<T: Send> Send for Inner<T> {}
-// SAFETY: same single-producer/single-consumer discipline as `Send` above.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 /// Creates a connected SPSC ring of `capacity` messages.
@@ -40,7 +46,9 @@ unsafe impl<T: Send> Sync for Inner<T> {}
 pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "ring capacity must be positive");
     let mut slots = Vec::with_capacity(capacity + 1);
-    slots.resize_with(capacity + 1, || UnsafeCell::new(MaybeUninit::uninit()));
+    slots.resize_with(capacity + 1, || {
+        RaceCell::named("ring.slot", MaybeUninit::uninit())
+    });
     let inner = Arc::new(Inner {
         head: CachePadded(AtomicUsize::new(0)),
         tail: CachePadded(AtomicUsize::new(0)),
@@ -72,15 +80,16 @@ impl<T> Producer<T> {
         let inner = &self.inner;
         // pmlint: allow(relaxed-ordering) — the producer is `tail`'s only
         // writer, so program order suffices for its own index (racecheck
-        // `ring_model`).
+        // `ring::racecheck_tests`).
         let tail = inner.tail.load(Ordering::Relaxed);
         let next = (tail + 1) % inner.slots.len();
         if next == inner.head.load(Ordering::Acquire) {
             return Err(value);
         }
         // SAFETY: slot `tail` is owned by the producer until tail is
-        // published.
-        unsafe { (*inner.slots[tail].get()).write(value) };
+        // published, and the Acquire load of `head` above ordered us
+        // after the consumer's read of its previous message.
+        unsafe { inner.slots[tail].with_mut(|slot| *slot = MaybeUninit::new(value)) };
         inner.tail.store(next, Ordering::Release);
         Ok(())
     }
@@ -122,13 +131,14 @@ impl<T> Consumer<T> {
         let inner = &self.inner;
         // pmlint: allow(relaxed-ordering) — the consumer is `head`'s only
         // writer, so program order suffices for its own index (racecheck
-        // `ring_model`).
+        // `ring::racecheck_tests`).
         let head = inner.head.load(Ordering::Relaxed);
         if head == inner.tail.load(Ordering::Acquire) {
             return None;
         }
-        // SAFETY: slot `head` was fully written before tail was published.
-        let value = unsafe { (*inner.slots[head].get()).assume_init_read() };
+        // SAFETY: slot `head` was fully written before tail was published,
+        // and the producer leaves it alone until `head` moves past it.
+        let value = unsafe { inner.slots[head].with(|slot| slot.assume_init_read()) };
         inner
             .head
             .store((head + 1) % inner.slots.len(), Ordering::Release);
@@ -151,15 +161,16 @@ impl<T> Consumer<T> {
 impl<T> Drop for Inner<T> {
     fn drop(&mut self) {
         // Drop any undelivered messages. Relaxed loads suffice: `&mut
-        // self` proves exclusive ownership, and the facade's model
-        // atomics have no `get_mut`.
+        // self` proves exclusive ownership, and the model atomics
+        // `racecheck_tests` runs this under have no `get_mut`.
         // pmlint: allow(relaxed-ordering) — exclusive `&mut self` in Drop
         let mut head = self.head.load(Ordering::Relaxed);
         // pmlint: allow(relaxed-ordering) — exclusive `&mut self` in Drop
         let tail = self.tail.load(Ordering::Relaxed);
         while head != tail {
-            // SAFETY: slots in [head, tail) are initialized.
-            unsafe { (*self.slots[head].get()).assume_init_drop() };
+            // SAFETY: slots in [head, tail) are initialized, and `&mut
+            // self` excludes every other access.
+            unsafe { self.slots[head].with_mut(|slot| slot.assume_init_drop()) };
             head = (head + 1) % self.slots.len();
         }
     }
@@ -239,8 +250,8 @@ mod tests {
 
     #[test]
     fn drops_undelivered_messages() {
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        struct Probe(std::sync::Arc<AtomicUsize>);
+        let flag = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        struct Probe(Arc<std::sync::atomic::AtomicUsize>);
         impl Drop for Probe {
             fn drop(&mut self) {
                 self.0.fetch_add(1, Ordering::Relaxed);
@@ -252,5 +263,51 @@ mod tests {
         drop(p);
         drop(c);
         assert_eq!(flag.load(Ordering::Relaxed), 2);
+    }
+}
+
+#[cfg(all(test, racecheck))]
+mod racecheck_tests {
+    use super::*;
+    use racecheck::model::{check, thread, Config};
+
+    /// Three messages through a one-message ring: every push after the
+    /// first waits for a pop, and the third overwrites the slot the
+    /// first pop read — so both edges of the protocol carry the run.
+    #[test]
+    fn three_messages_through_one_slot() {
+        check("ring/one-slot", Config::new(), || {
+            let (p, c) = ring::<u64>(1);
+            let producer = thread::spawn(move || {
+                for v in 100..103u64 {
+                    let mut msg = v;
+                    let mut tries = 0;
+                    while let Err(back) = p.push(msg) {
+                        msg = back;
+                        tries += 1;
+                        if tries == 4 {
+                            return; // full and the consumer gave up
+                        }
+                        thread::yield_now();
+                    }
+                }
+            });
+            let mut next = 100u64;
+            let mut idle = 0;
+            while next < 103 && idle < 4 {
+                match c.pop() {
+                    Some(v) => {
+                        assert_eq!(v, next, "ring delivered out of order");
+                        next += 1;
+                        idle = 0;
+                    }
+                    None => {
+                        idle += 1;
+                        thread::yield_now();
+                    }
+                }
+            }
+            producer.join().unwrap();
+        });
     }
 }

@@ -1,9 +1,9 @@
 //! Horizontal-batching machinery and engine-shared state (paper §3.3).
 
 use racecheck::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use racecheck::sync::Arc;
-use std::cell::UnsafeCell;
+use racecheck::sync::RaceCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use oplog::ChunkUsage;
@@ -125,7 +125,8 @@ pub(crate) struct Posted {
 /// the only consumer. `head`/`tail` are monotonic cursors into a
 /// power-of-two slot ring; occupancy is `tail - head`.
 ///
-/// The happens-before protocol (racecheck `publish_list_model`):
+/// The happens-before protocol, checked on this source by
+/// `racecheck_tests::three_posts_two_leaders`:
 /// * producer → consumer: the slot write is published by the `Release`
 ///   store on `tail` and observed through the consumer's `Acquire` load;
 /// * consumer → producer: the slot vacate is published by the `Release`
@@ -134,7 +135,7 @@ pub(crate) struct Posted {
 /// * consumer → consumer: successive leaders hand the list over through
 ///   the token's `Acquire` CAS / `Release` clear in [`Group::collect`].
 pub(crate) struct PublishList {
-    slots: Box<[UnsafeCell<Option<Posted>>]>,
+    slots: Box<[RaceCell<Option<Posted>>]>,
     mask: u64,
     head: AtomicU64,
     tail: AtomicU64,
@@ -144,15 +145,13 @@ pub(crate) struct PublishList {
 // one producer (the owner core, structurally: `post` takes the poster's
 // own slot) and one consumer at a time (guarded by the per-list token in
 // `Group`), with every hand-off ordered by a Release/Acquire edge.
-unsafe impl Send for PublishList {}
-// SAFETY: as above.
 unsafe impl Sync for PublishList {}
 
 impl PublishList {
     fn new(capacity: usize) -> PublishList {
         let capacity = capacity.next_power_of_two();
         let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || UnsafeCell::new(None));
+        slots.resize_with(capacity, || RaceCell::named("publish.slot", None));
         PublishList {
             slots: slots.into_boxed_slice(),
             mask: capacity as u64 - 1,
@@ -175,7 +174,7 @@ impl PublishList {
         }
         // SAFETY: sole producer (own slot), and the capacity check above
         // proved index `t` is vacated — ordered by the Acquire on `head`.
-        unsafe { *self.slots[(t & self.mask) as usize].get() = Some(posted) };
+        unsafe { self.slots[(t & self.mask) as usize].with_mut(|slot| *slot = Some(posted)) };
         self.tail.store(t.wrapping_add(1), Ordering::Release);
         Ok(())
     }
@@ -194,7 +193,7 @@ impl PublishList {
             // SAFETY: `h..t` was published by the producer's Release on
             // `tail` before our Acquire read of it, and no other consumer
             // can run (token held).
-            let taken = unsafe { (*self.slots[(i & self.mask) as usize].get()).take() };
+            let taken = unsafe { self.slots[(i & self.mask) as usize].with_mut(Option::take) };
             // pmlint: allow(no-unwrap) — SPSC invariant: every published
             // index holds the record stored before its tail publish.
             out.push(taken.expect("published slot filled"));
@@ -619,7 +618,7 @@ impl EngineStats {
 mod tests {
     use super::*;
 
-    fn posted(key: u64) -> Posted {
+    pub(super) fn posted(key: u64) -> Posted {
         Posted {
             // pmlint: allow(no-unwrap) — tiny inline value in a test.
             entry: LogEntry::put_inline(key, 1, vec![7]).expect("inline fits"),
@@ -710,5 +709,68 @@ mod tests {
             model.iter().map(|(&c, u)| (c, u.total, u.dead)).collect();
         expect.sort_unstable();
         assert_eq!(dumped, expect);
+    }
+}
+
+#[cfg(all(test, racecheck))]
+mod racecheck_tests {
+    use super::*;
+    use racecheck::model::{check, thread, Config};
+
+    /// Three posts through a 2-slot list against two concurrent leaders
+    /// and a final sweep: the third post overwrites a slot a drain
+    /// vacated, the leaders hand the list over through its token, and
+    /// every posted record is consumed exactly once.
+    #[test]
+    fn three_posts_two_leaders() {
+        check("publish-list/two-leaders", Config::new(), || {
+            let group = Group::new(1, 2);
+            let g = Arc::clone(&group);
+            let producer = thread::spawn(move || {
+                let mut posted = Vec::new();
+                for key in 100..103u64 {
+                    let mut rec = tests::posted(key);
+                    let mut tries = 0;
+                    while let Err(back) = g.post(0, rec) {
+                        rec = back;
+                        tries += 1;
+                        if tries == 4 {
+                            return posted; // full and no leader scheduled
+                        }
+                        thread::yield_now();
+                    }
+                    posted.push(key);
+                }
+                posted
+            });
+            let leaders: Vec<_> = (0..2)
+                .map(|_| {
+                    let g = Arc::clone(&group);
+                    thread::spawn(move || {
+                        let mut out = Vec::new();
+                        for _ in 0..2 {
+                            g.collect(&mut out);
+                            thread::yield_now();
+                        }
+                        out.iter().map(|p| p.entry.key).collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+
+            let posted = producer.join().unwrap();
+            let mut consumed = Vec::new();
+            for leader in leaders {
+                let keys = leader.join().unwrap();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "drain out of order");
+                consumed.extend(keys);
+            }
+            // Every leader released its token, so the final claim wins.
+            let mut rest = Vec::new();
+            group.collect(&mut rest);
+            consumed.extend(rest.iter().map(|p| p.entry.key));
+            consumed.sort_unstable();
+            assert_eq!(consumed, posted, "each posted record consumed exactly once");
+            assert_eq!(group.pending.load(Ordering::Acquire), 0);
+        });
     }
 }

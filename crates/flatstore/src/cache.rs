@@ -37,9 +37,9 @@
 //! eviction it would never earn back. A skipped fill is just a miss, so
 //! the coherence argument above is unchanged.
 
-use racecheck::sync::atomic::{AtomicU64, Ordering};
-use racecheck::sync::Arc;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 

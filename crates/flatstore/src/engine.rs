@@ -1,8 +1,8 @@
 //! The FlatStore engine: worker lifecycle, the FlatRPC fabric, recovery
 //! and shutdown.
 
-use racecheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use racecheck::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use oplog::{newer, EntryHeader, LogEntry, LogOp, OpLog, VERSION_MASK};
@@ -1041,7 +1041,7 @@ impl FlatStore {
         let mut r = obs::StatsReport::new("flatstore");
         stats.fill_report(&mut r);
         {
-            use racecheck::sync::atomic::Ordering::Relaxed;
+            use std::sync::atomic::Ordering::Relaxed;
             let fs = fabric.stats();
             r.section("fabric")
                 .row("requests", fs.requests.load(Relaxed))

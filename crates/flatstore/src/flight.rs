@@ -18,9 +18,9 @@
 //! [`Config::trace_sample`]: crate::Config::trace_sample
 //! [`StoreError::Corrupt`]: crate::StoreError::Corrupt
 
-use racecheck::sync::atomic::{AtomicU64, Ordering};
-use racecheck::sync::{Arc, Mutex, OnceLock, Weak};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use obs::ring::Event;
 use obs::{FlightRecord, FlightRing, Json};

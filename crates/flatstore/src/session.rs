@@ -9,9 +9,9 @@
 //! Horizontal batching feeds on this concurrency: every in-flight
 //! operation is a log entry a leader can steal into its batch.
 
-use racecheck::sync::atomic::{AtomicBool, Ordering};
-use racecheck::sync::Arc;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use flatrpc::{clock, Envelope};

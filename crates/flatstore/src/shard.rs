@@ -8,9 +8,9 @@
 //! directly by core 0 (the agent core) and delegated through it by every
 //! other core.
 
-use racecheck::sync::atomic::{AtomicUsize, Ordering};
-use racecheck::sync::Arc;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use flatrpc::{clock, ClientId, Envelope};

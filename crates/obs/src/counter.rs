@@ -1,6 +1,6 @@
 //! Monotonic event counters.
 
-use racecheck::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A lock-free monotonic counter.
 ///

@@ -11,7 +11,7 @@
 //! factor of two worst case, a few percent for latencies in the
 //! hundreds-of-nanoseconds range this repository cares about.
 
-use racecheck::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub const NUM_BUCKETS: usize = 64;
 

@@ -251,7 +251,9 @@ fn strip_source(src: &str) -> Vec<Line> {
 }
 
 /// Marks every line inside a `#[cfg(test)]`-gated item (brace-delimited;
-/// an attribute followed by `;` before any `{` gates nothing).
+/// an attribute followed by `;` before any `{` gates nothing). The
+/// shipped-source racecheck modules, `#[cfg(all(test, racecheck))]`, are
+/// test code too.
 fn test_spans(lines: &[Line]) -> Vec<bool> {
     let mut out = vec![false; lines.len()];
     let mut depth: i64 = 0;
@@ -259,7 +261,7 @@ fn test_spans(lines: &[Line]) -> Vec<bool> {
     let mut test_depth: Option<i64> = None;
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
-        if code.contains("#[cfg(test)]") {
+        if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test, racecheck))]") {
             pending = true;
         }
         if test_depth.is_some() {
@@ -759,6 +761,15 @@ mod tests {
 
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(check("crates/pmem/src/a.rs", in_test).is_empty());
+        let in_racecheck_test =
+            "#[cfg(all(test, racecheck))]\nmod racecheck_tests {\n    fn t() { x.unwrap(); }\n}\n";
+        assert!(check("crates/flatstore/src/a.rs", in_racecheck_test).is_empty());
+        // Only that exact gate: another `all(test, ..)` is not recognised.
+        let other_gate = "#[cfg(all(test, loom))]\nmod m {\n    fn t() { x.unwrap(); }\n}\n";
+        assert_eq!(
+            rules(&check("crates/flatstore/src/a.rs", other_gate)),
+            ["no-unwrap"]
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! racecheck — a loom-style concurrency checker for the flatstore
-//! workspace, with a zero-cost `std::sync` facade.
+//! workspace, with a zero-cost facade for the lock-free hand-offs.
 //!
 //! The crate has two halves:
 //!
-//! * [`sync`] is what production crates import instead of `std::sync`.
-//!   By default every name is a plain re-export of the `std` type —
-//!   same types, zero overhead, nothing to audit in release artifacts.
-//!   Compiling with `RUSTFLAGS="--cfg racecheck"` swaps the facade to
-//!   the checked model types below.
+//! * [`sync`] is what `flatrpc::ring` and `flatstore::batch` import
+//!   instead of `std::sync` for their cursor atomics and slot cells. By
+//!   default the atomics are the `std` types and [`sync::RaceCell`] is a
+//!   bare `UnsafeCell` wrapper — zero overhead. Compiling with
+//!   `RUSTFLAGS="--cfg racecheck"` swaps the facade to the checked model
+//!   types below, and the `#[cfg(all(test, racecheck))] mod
+//!   racecheck_tests` beside that code explore the shipped source.
 //! * [`model`] (always compiled, no cfg needed) is the checker itself:
 //!   drop-in atomics/mutexes/threads whose every operation is a
 //!   scheduling choice point, a cooperative scheduler that explores
@@ -16,12 +18,12 @@
 //!   happens-before [`engine`] that reports data races, missing
 //!   release/acquire edges, and deadlocks with per-thread event traces.
 //!
-//! Protocol models live in `tests/models.rs`: extracted versions of the
-//! flatrpc ring publish/consume, the completion-gate dual-atomic
-//! handshake, the shard deferred-key FIFO, client-port park/reuse, and
-//! the cache fill-vs-invalidate ordering — each asserted under every
-//! explored schedule, with seeded-buggy variants proving the checker
-//! actually catches the bug class it exists for.
+//! Discipline models live in `tests/models.rs`: the completion-gate
+//! dual-atomic handshake, the shard deferred-key FIFO, client-port
+//! park/reuse, the cache fill-vs-invalidate ordering and the flight
+//! ring — each asserted under every explored schedule, with seeded-buggy
+//! variants proving the checker actually catches the bug class it
+//! exists for.
 //!
 //! ```
 //! use racecheck::model::{self, thread, RaceCell};

@@ -373,6 +373,18 @@ impl Execution {
         tid: usize,
         mut apply: impl FnMut(&mut ExecState) -> ApplyOutcome<R>,
     ) -> R {
+        if std::thread::panicking() {
+            // A destructor reached a model op while this thread unwinds
+            // (an abort, or an assertion `run_thread` is about to
+            // record). The schedule is dead: apply the op out of band,
+            // with no decision, because a second panic would abort the
+            // process before the first failure reaches `check`. Only a
+            // blocking op (a held lock, a join, a yield) cannot complete
+            // this way and still unwinds.
+            if let ApplyOutcome::Done(r) = apply(&mut self.lock()) {
+                return r;
+            }
+        }
         let mut st = self.acquire_grant(self.lock(), tid);
         loop {
             match apply(&mut st) {

@@ -139,10 +139,6 @@ impl AtomicU64 {
         })
     }
 
-    pub fn swap(&self, value: u64, order: Ordering) -> u64 {
-        self.rmw("swap", order, |_| value)
-    }
-
     pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
         self.rmw("fetch_add", order, |old| old.wrapping_add(v))
     }
@@ -151,20 +147,7 @@ impl AtomicU64 {
         self.rmw("fetch_sub", order, |old| old.wrapping_sub(v))
     }
 
-    pub fn fetch_or(&self, v: u64, order: Ordering) -> u64 {
-        self.rmw("fetch_or", order, |old| old | v)
-    }
-
-    pub fn fetch_and(&self, v: u64, order: Ordering) -> u64 {
-        self.rmw("fetch_and", order, |old| old & v)
-    }
-
-    pub fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
-        self.rmw("fetch_max", order, |old| old.max(v))
-    }
-
-    /// Strong compare-exchange (the model has no spurious failures, so
-    /// `compare_exchange_weak` aliases this).
+    /// Strong compare-exchange (the model has no spurious failures).
     pub fn compare_exchange(
         &self,
         current: u64,
@@ -193,91 +176,39 @@ impl AtomicU64 {
             ApplyOutcome::Done(r)
         })
     }
+}
 
-    pub fn compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.compare_exchange(current, new, success, failure)
+impl Default for AtomicU64 {
+    fn default() -> AtomicU64 {
+        AtomicU64::new(0)
     }
 }
 
-macro_rules! atomic_wrapper {
-    ($name:ident, $ty:ty, $doc:literal) => {
-        #[doc = $doc]
-        #[derive(Debug)]
-        pub struct $name(AtomicU64);
+/// A model `usize` atomic.
+#[derive(Debug)]
+pub struct AtomicUsize(AtomicU64);
 
-        impl $name {
-            pub fn new(value: $ty) -> $name {
-                $name(AtomicU64::new(value as u64))
-            }
+impl AtomicUsize {
+    pub fn new(value: usize) -> AtomicUsize {
+        AtomicUsize(AtomicU64::new(value as u64))
+    }
 
-            /// Constructor with a trace-friendly name.
-            pub fn named(name: &str, value: $ty) -> $name {
-                $name(AtomicU64::named(name, value as u64))
-            }
+    pub fn load(&self, order: Ordering) -> usize {
+        self.0.load(order) as usize
+    }
 
-            pub fn load(&self, order: Ordering) -> $ty {
-                self.0.load(order) as $ty
-            }
+    pub fn store(&self, value: usize, order: Ordering) {
+        self.0.store(value as u64, order)
+    }
 
-            pub fn store(&self, value: $ty, order: Ordering) {
-                self.0.store(value as u64, order)
-            }
+    pub fn fetch_add(&self, v: usize, order: Ordering) -> usize {
+        self.0.fetch_add(v as u64, order) as usize
+    }
 
-            pub fn swap(&self, value: $ty, order: Ordering) -> $ty {
-                self.0.swap(value as u64, order) as $ty
-            }
-
-            pub fn fetch_add(&self, v: $ty, order: Ordering) -> $ty {
-                self.0.rmw("fetch_add", order, |old| {
-                    (old as $ty).wrapping_add(v) as u64
-                }) as $ty
-            }
-
-            pub fn fetch_sub(&self, v: $ty, order: Ordering) -> $ty {
-                self.0.rmw("fetch_sub", order, |old| {
-                    (old as $ty).wrapping_sub(v) as u64
-                }) as $ty
-            }
-
-            pub fn fetch_max(&self, v: $ty, order: Ordering) -> $ty {
-                self.0
-                    .rmw("fetch_max", order, |old| (old as $ty).max(v) as u64) as $ty
-            }
-
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                self.0
-                    .compare_exchange(current as u64, new as u64, success, failure)
-                    .map(|v| v as $ty)
-                    .map_err(|v| v as $ty)
-            }
-
-            pub fn compare_exchange_weak(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                self.compare_exchange(current, new, success, failure)
-            }
-        }
-    };
+    pub fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
+        self.0.fetch_sub(v as u64, order) as usize
+    }
 }
-
-atomic_wrapper!(AtomicUsize, usize, "A model `usize` atomic.");
-atomic_wrapper!(AtomicU32, u32, "A model `u32` atomic.");
 
 /// A model boolean atomic.
 #[derive(Debug)]
@@ -288,21 +219,12 @@ impl AtomicBool {
         AtomicBool(AtomicU64::new(value as u64))
     }
 
-    /// Constructor with a trace-friendly name.
-    pub fn named(name: &str, value: bool) -> AtomicBool {
-        AtomicBool(AtomicU64::named(name, value as u64))
-    }
-
     pub fn load(&self, order: Ordering) -> bool {
         self.0.load(order) != 0
     }
 
     pub fn store(&self, value: bool, order: Ordering) {
         self.0.store(value as u64, order)
-    }
-
-    pub fn swap(&self, value: bool, order: Ordering) -> bool {
-        self.0.swap(value as u64, order) != 0
     }
 
     pub fn compare_exchange(
@@ -387,32 +309,6 @@ impl<T> Mutex<T> {
         });
         Ok(MutexGuard { m: self })
     }
-
-    /// Non-blocking acquire attempt, mirroring std's signature (the model
-    /// never poisons, so the error is always `WouldBlock`).
-    pub fn try_lock(&self) -> std::sync::TryLockResult<MutexGuard<'_, T>> {
-        let tid = ctx_tid(&self.exec);
-        let (id, name) = (self.id, &self.name);
-        let got = self.exec.visible(tid, |st: &mut ExecState| {
-            let free = st.mutexes[id].1.is_none();
-            if free {
-                st.mutexes[id].1 = Some(tid);
-                let (threads, mutexes) = (&mut st.threads, &mut st.mutexes);
-                threads.mutex_lock(tid, &mut mutexes[id].0);
-            }
-            Execution::trace(
-                st,
-                tid,
-                format!("{name}.try_lock() -> {}", if free { "ok" } else { "busy" }),
-            );
-            ApplyOutcome::Done(free)
-        });
-        if got {
-            Ok(MutexGuard { m: self })
-        } else {
-            Err(std::sync::TryLockError::WouldBlock)
-        }
-    }
 }
 
 /// RAII guard for [`Mutex`]; unlocking is a visible operation.
@@ -462,8 +358,10 @@ impl<T> Drop for MutexGuard<'_, T> {
 }
 
 /// Plain (non-atomic) shared memory — the locations data races are
-/// detected *on*. The release build's counterpart is an `UnsafeCell`
-/// whose discipline this type verifies.
+/// detected *on*. The release build's counterpart is
+/// [`crate::sync::RaceCell`], an `UnsafeCell` whose discipline this type
+/// verifies; `with`/`with_mut` keep its `unsafe` signatures so shipped
+/// code compiles warning-free under both builds.
 #[derive(Debug)]
 pub struct RaceCell<T> {
     exec: Arc<Execution>,
@@ -498,6 +396,12 @@ impl<T> RaceCell<T> {
     }
 
     fn access(&self, write: bool) {
+        if std::thread::panicking() {
+            // A destructor touching the cell while this thread unwinds:
+            // the schedule is already dead, and a race found now would
+            // panic again and abort the process.
+            return;
+        }
         let tid = ctx_tid(&self.exec);
         let (id, name) = (self.id, &self.name);
         self.exec.visible(tid, |st: &mut ExecState| {
@@ -519,7 +423,14 @@ impl<T> RaceCell<T> {
     }
 
     /// Immutable access; a read event for the race detector.
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+    ///
+    /// # Safety
+    ///
+    /// The release-build contract: no concurrent writer and no nested
+    /// mutable access. Under the model a violating schedule is reported
+    /// as a race before `f` runs.
+    // SAFETY: the contract is the caller's, stated above.
+    pub unsafe fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.access(false);
         // SAFETY: the calling thread holds the scheduling token, so no
         // other model thread executes concurrently; racy schedules abort
@@ -528,7 +439,13 @@ impl<T> RaceCell<T> {
     }
 
     /// Mutable access; a write event for the race detector.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+    ///
+    /// # Safety
+    ///
+    /// The release-build contract: no concurrent access and no nested
+    /// access from `f`.
+    // SAFETY: the contract is the caller's, stated above.
+    pub unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.access(true);
         // SAFETY: exclusive by the token discipline described in `with`.
         f(unsafe { &mut *self.data.get() })
@@ -538,12 +455,15 @@ impl<T> RaceCell<T> {
 impl<T: Copy> RaceCell<T> {
     /// Copies the value out (read event).
     pub fn read(&self) -> T {
-        self.with(|v| *v)
+        // SAFETY: the copy cannot re-enter the cell, and the scheduler
+        // serializes model threads physically.
+        unsafe { self.with(|v| *v) }
     }
 
     /// Overwrites the value (write event).
     pub fn write(&self, value: T) {
-        self.with_mut(|v| *v = value)
+        // SAFETY: as in `read`.
+        unsafe { self.with_mut(|v| *v = value) }
     }
 }
 

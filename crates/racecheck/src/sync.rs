@@ -1,57 +1,41 @@
-//! The production facade: `std::sync` names, checkable on demand.
+//! The production facade for the fabric's lock-free hand-offs.
 //!
-//! Workspace crates import concurrency primitives from here instead of
-//! `std::sync`. In a normal build every item is a *re-export* of the
-//! `std` type — identical types, identical codegen, zero cost, and the
-//! CI grep gate proves no `cfg(racecheck)` code reaches release
-//! artifacts. Building with `RUSTFLAGS="--cfg racecheck"` swaps the
-//! facade to [`crate::model`]'s checked lookalikes so the same source
-//! can run under the interleaving explorer.
-//!
-//! The module mirrors the `std::sync` layout (`sync::atomic::AtomicU64`,
-//! `sync::Mutex`, …) so migration is a mechanical import swap.
+//! `flatrpc::ring` and `flatstore::batch` take their cursor atomics and
+//! slot cells from here instead of `std::sync`. In a normal build every
+//! atomic is a *re-export* of the `std` type and [`RaceCell`] is a bare
+//! `UnsafeCell` wrapper — identical codegen, zero cost. Under
+//! `RUSTFLAGS="--cfg racecheck"` the same paths resolve to
+//! [`crate::model`]'s checked types, so the `#[cfg(all(test, racecheck))]`
+//! test modules beside that code run the shipped source under
+//! [`crate::model::check`]. Nothing else in the workspace imports the
+//! facade: code no racecheck test drives uses `std::sync` directly.
 
-/// Mirror of `std::sync::atomic`.
+/// The atomics the checked hand-offs use, mirroring `std::sync::atomic`.
 pub mod atomic {
     #[cfg(not(racecheck))]
-    pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
     #[cfg(racecheck)]
-    pub use crate::model::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    pub use crate::model::{AtomicBool, AtomicU64, AtomicUsize};
 
     // `Ordering` is always the std enum — the model consumes it directly.
     pub use std::sync::atomic::Ordering;
 }
 
-pub use std::sync::{Arc, Condvar, OnceLock, Weak};
-
-#[cfg(not(racecheck))]
-pub use std::sync::{Mutex, MutexGuard};
-
-#[cfg(racecheck)]
-pub use crate::model::{Mutex, MutexGuard};
-
 #[cfg(racecheck)]
 pub use crate::model::RaceCell;
 
 /// Plain shared memory whose synchronization discipline is *asserted by
-/// the author* and *verified under `cfg(racecheck)`* — the release-build
-/// counterpart of [`crate::model::RaceCell`]. All accesses compile to
-/// bare loads/stores through an `UnsafeCell`.
+/// the caller* and *verified under `cfg(racecheck)`* — the release-build
+/// counterpart of [`crate::model::RaceCell`]. Accesses compile to bare
+/// loads/stores through an `UnsafeCell`. Like `UnsafeCell` it is not
+/// `Sync`: the type embedding it states the protocol that makes sharing
+/// sound.
 #[cfg(not(racecheck))]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RaceCell<T> {
     data: std::cell::UnsafeCell<T>,
 }
-
-// SAFETY: RaceCell promises nothing by itself; callers must order their
-// accesses externally (the discipline racecheck models verify). This
-// mirrors the contract of sharing an UnsafeCell directly.
-#[cfg(not(racecheck))]
-unsafe impl<T: Send> Send for RaceCell<T> {}
-// SAFETY: same externally-ordered contract as `Send` above.
-#[cfg(not(racecheck))]
-unsafe impl<T: Send> Sync for RaceCell<T> {}
 
 #[cfg(not(racecheck))]
 impl<T> RaceCell<T> {
@@ -61,34 +45,33 @@ impl<T> RaceCell<T> {
         }
     }
 
-    /// Name-tagged constructor (the tag only matters under racecheck).
+    /// Name-tagged constructor (the tag names the cell in race reports
+    /// under racecheck).
     pub fn named(_name: &str, value: T) -> RaceCell<T> {
         RaceCell::new(value)
     }
 
-    /// Immutable access. Caller asserts no concurrent writer.
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        // SAFETY: caller-asserted exclusion, verified by the racecheck
-        // model of the surrounding protocol.
+    /// Shared access.
+    ///
+    /// # Safety
+    ///
+    /// No write to this cell may run concurrently, and `f` must not
+    /// re-enter the cell mutably.
+    // SAFETY: the contract is the caller's, stated above.
+    pub unsafe fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        // SAFETY: the caller guarantees no concurrent or nested writer.
         f(unsafe { &*self.data.get() })
     }
 
-    /// Mutable access. Caller asserts exclusivity.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        // SAFETY: caller-asserted exclusivity, verified under racecheck.
+    /// Exclusive access.
+    ///
+    /// # Safety
+    ///
+    /// No other access to this cell may run concurrently, and `f` must
+    /// not re-enter the cell.
+    // SAFETY: the contract is the caller's, stated above.
+    pub unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        // SAFETY: the caller guarantees exclusivity.
         f(unsafe { &mut *self.data.get() })
-    }
-}
-
-#[cfg(not(racecheck))]
-impl<T: Copy> RaceCell<T> {
-    /// Copies the value out.
-    pub fn read(&self) -> T {
-        self.with(|v| *v)
-    }
-
-    /// Overwrites the value.
-    pub fn write(&self, value: T) {
-        self.with_mut(|v| *v = value)
     }
 }

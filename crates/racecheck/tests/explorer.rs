@@ -1,12 +1,14 @@
 //! Explorer semantics: determinism of exploration, deadlock detection,
-//! preemption-bound behaviour, step budgets, and the nondeterminism
-//! guard that keeps DFS replay honest.
+//! preemption-bound behaviour, step budgets, the nondeterminism guard
+//! that keeps DFS replay honest, failures that unwind through
+//! destructors running model ops, and the read→write race direction.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use racecheck::model::{
-    check_race, explore, explore_random, thread, AtomicU64, Config, FailureKind, Mutex,
+    check, check_race, explore, explore_random, thread, AtomicU64, Config, FailureKind, Mutex,
+    RaceCell,
 };
 
 /// A small two-thread model with real scheduling freedom: both threads
@@ -161,4 +163,92 @@ fn external_state_is_flagged_as_nondeterminism() {
         }
     });
     assert_eq!(failure.kind, FailureKind::Nondeterminism, "{failure}");
+}
+
+/// A value whose destructor runs model ops, like a ring draining its
+/// undelivered messages when the last handle drops.
+struct Drains {
+    cursor: AtomicU64,
+    slot: RaceCell<u64>,
+}
+
+impl Drop for Drains {
+    fn drop(&mut self) {
+        if self.cursor.load(Ordering::Acquire) == 0 {
+            self.slot.write(0);
+        }
+    }
+}
+
+fn drains() -> Arc<Drains> {
+    Arc::new(Drains {
+        cursor: AtomicU64::named("cursor", 0),
+        slot: RaceCell::named("slot", 0),
+    })
+}
+
+/// A failure mid-schedule unwinds the model thread through `Drains::drop`.
+/// Its model ops must not panic a second time (which aborts the process):
+/// the first failure has to reach `check_race`, both for an assertion
+/// and for a race found by the checker.
+#[test]
+fn failure_unwinding_through_model_ops_is_reported() {
+    let failure = check_race("unwind/assert", Config::new(), || {
+        let d = drains();
+        let t = thread::spawn(move || {
+            let _held = d;
+            panic!("boom");
+        });
+        let _ = t.join();
+    });
+    assert_eq!(failure.kind, FailureKind::Panic, "{failure}");
+    assert!(failure.message.contains("boom"), "{failure}");
+
+    let failure = check_race("unwind/race", Config::new(), || {
+        let d = drains();
+        let d1 = Arc::clone(&d);
+        let t = thread::spawn(move || d1.slot.write(1));
+        d.slot.write(2);
+        drop(d);
+        let _ = t.join();
+    });
+    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+}
+
+/// The read→write litmus: one thread reads a slot and then marks it
+/// free; the other reuses the slot once it sees the mark. Only a
+/// `Release` mark orders the reuse after the read.
+fn vacate_model(vacate: Ordering) {
+    let slot = Arc::new(RaceCell::named("slot", 1u64));
+    let free = Arc::new(AtomicU64::named("free", 0));
+    let (s, f) = (Arc::clone(&slot), Arc::clone(&free));
+    let reader = thread::spawn(move || {
+        assert_eq!(s.read(), 1);
+        f.store(1, vacate);
+    });
+    for _ in 0..2 {
+        if free.load(Ordering::Acquire) == 1 {
+            slot.write(2);
+            break;
+        }
+        thread::yield_now();
+    }
+    reader.join().unwrap();
+}
+
+#[test]
+fn relaxed_vacate_races_the_reuse() {
+    check("vacate/release", Config::new(), || {
+        vacate_model(Ordering::Release)
+    });
+    let failure = check_race("vacate/relaxed", Config::new(), || {
+        vacate_model(Ordering::Relaxed)
+    });
+    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
+    assert!(
+        failure
+            .message
+            .contains("write by t0 races with unsynchronized read by t1"),
+        "{failure}"
+    );
 }

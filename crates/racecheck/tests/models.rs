@@ -1,5 +1,9 @@
-//! Extracted models of the workspace's real synchronization protocols,
-//! each explored exhaustively (bounded) by the racecheck scheduler.
+//! Models of the disciplines behind the workspace's lock-based and
+//! dual-atomic hand-offs, each explored exhaustively (bounded) by the
+//! racecheck scheduler. These are models of a discipline, not copies of
+//! code: the lock-free SPSC ring and publish list are checked on their
+//! shipped source instead (`racecheck_tests` in `flatrpc::ring` and
+//! `flatstore::batch`).
 //!
 //! Every model comes in a *clean* form — asserted race-free and
 //! invariant-preserving under every explored schedule — and, where the
@@ -9,7 +13,6 @@
 //! these fail.
 //!
 //! Model ↔ source map:
-//! * ring publish/consume      ↔ `flatrpc::ring` (SPSC seq envelopes)
 //! * completion fulfil/poll    ↔ `flatstore::batch::Completion`
 //! * per-key completion gate   ↔ `flatstore::shard` deferred-key FIFO
 //! * port park/reuse           ↔ `flatrpc` ClientPort parking
@@ -23,79 +26,6 @@ use std::sync::Arc;
 use racecheck::model::{
     check, check_race, thread, AtomicU64, Config, FailureKind, Mutex, RaceCell,
 };
-
-/// A 2-slot SPSC ring mirroring `flatrpc::ring`: producer reads its own
-/// tail Relaxed and the consumer's head Acquire, writes the slot, then
-/// publishes with a Release store of the new tail; the consumer mirrors.
-fn ring_model(publish: Ordering) {
-    const CAP: u64 = 2;
-    let head = Arc::new(AtomicU64::named("head", 0));
-    let tail = Arc::new(AtomicU64::named("tail", 0));
-    let slots: Arc<Vec<RaceCell<u64>>> = Arc::new(vec![
-        RaceCell::named("slot0", 0),
-        RaceCell::named("slot1", 0),
-    ]);
-
-    let (h, t, s) = (Arc::clone(&head), Arc::clone(&tail), Arc::clone(&slots));
-    let producer = thread::spawn(move || {
-        let mut pushed = 0u64;
-        let mut spins = 0;
-        while pushed < 2 {
-            let tl = t.load(Ordering::Relaxed); // own index
-            if tl - h.load(Ordering::Acquire) == CAP {
-                spins += 1;
-                assert!(spins < 8, "producer livelocked");
-                thread::yield_now();
-                continue;
-            }
-            s[(tl % CAP) as usize].write(100 + pushed);
-            t.store(tl + 1, publish);
-            pushed += 1;
-        }
-    });
-
-    let mut popped = 0u64;
-    let mut spins = 0;
-    while popped < 2 {
-        let hd = head.load(Ordering::Relaxed); // own index
-        if tail.load(Ordering::Acquire) == hd {
-            spins += 1;
-            if spins >= 8 {
-                break; // producer may still be scheduled behind us
-            }
-            thread::yield_now();
-            continue;
-        }
-        let v = slots[(hd % CAP) as usize].read();
-        assert_eq!(v, 100 + popped, "ring delivered out of order");
-        head.store(hd + 1, Ordering::Release);
-        popped += 1;
-        spins = 0;
-    }
-    producer.join().unwrap();
-}
-
-#[test]
-fn ring_release_publish_is_clean() {
-    check("ring/release", Config::new(), || {
-        ring_model(Ordering::Release)
-    });
-}
-
-/// The seeded-buggy variant: publishing the new tail with `Relaxed`
-/// severs the edge that orders the slot write before the consumer's
-/// read. The checker must report a data race on a slot cell.
-#[test]
-fn ring_relaxed_publish_is_caught() {
-    let failure = check_race("ring/relaxed-publish", Config::new(), || {
-        ring_model(Ordering::Relaxed)
-    });
-    assert_eq!(failure.kind, FailureKind::Race, "{failure}");
-    assert!(
-        failure.message.contains("slot"),
-        "race should be on a ring slot: {failure}"
-    );
-}
 
 /// `Completion` fulfil/poll from `flatstore::batch`: the leader writes
 /// the reply payload, then `fulfil` publishes the record offset with a
@@ -164,7 +94,7 @@ fn gate_submit(gate: &Arc<Mutex<Gate>>, value: &Arc<RaceCell<u64>>, op: u64) {
     }
     let mut run = op;
     loop {
-        value.with_mut(|v| *v += run); // the op body: exclusive by the gate
+        value.write(value.read() + run); // the op body: exclusive by the gate
         let mut g = gate.lock().unwrap();
         g.log.push(run);
         match g.deferred.pop_front() {
@@ -230,7 +160,7 @@ fn shard_gate_unclaimed_drain_is_caught() {
                 }
                 g.busy = true;
             }
-            value.with_mut(|v| *v += op);
+            value.write(value.read() + op);
             // BUG: release the claim before draining, so a concurrent
             // submit can start while the deferred op still runs.
             let next = {
@@ -240,7 +170,7 @@ fn shard_gate_unclaimed_drain_is_caught() {
                 g.deferred.pop_front()
             };
             if let Some(n) = next {
-                value.with_mut(|v| *v += n);
+                value.write(value.read() + n);
                 gate.lock().unwrap().log.push(n);
             }
         };

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # ThreadSanitizer sweep over the fabric hot path.
 #
-# racecheck (crates/racecheck) explores *extracted models* of the
-# concurrency protocols exhaustively; TSan complements it by watching the
-# *real* code race-detect itself under whatever interleavings the OS
-# happens to produce. Neither subsumes the other, so CI runs both — this
-# one non-blocking, because it needs a nightly toolchain with rust-src
-# (`-Zsanitizer=thread` must rebuild std instrumented via -Zbuild-std).
+# racecheck (crates/racecheck) explores the shipped SPSC ring and HB
+# publish list, and models of the other hand-off disciplines, over
+# bounded schedule trees; TSan complements it by watching the *real*
+# code under whatever interleavings the OS happens to produce, on
+# whole-engine paths racecheck cannot drive. Neither subsumes the other,
+# so CI runs both — this one non-blocking, because it needs a nightly
+# toolchain with rust-src (`-Zsanitizer=thread` must rebuild std
+# instrumented via -Zbuild-std).
 #
 # Usage: scripts/tsan.sh
 # Exits 0 with a notice when the nightly prerequisites are missing.
@@ -35,7 +37,7 @@ run() {
     cargo +nightly test --offline -Zbuild-std --target "$host" "$@" -- --test-threads=2
 }
 
-# The protocols racecheck models, exercised end-to-end in real code: the
+# The protocols racecheck checks, exercised end-to-end in real code: the
 # SPSC ring and client port fabric, completion fulfil/poll and per-key
 # gates (session tests), and the cache fill-vs-invalidate path.
 run -p flatrpc
