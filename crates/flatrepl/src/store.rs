@@ -82,7 +82,7 @@ impl ReplicatedStore {
         })
     }
 
-    /// The primary engine (sessions, stats, checkpoints…).
+    /// The primary engine (sessions, stats, log suffixes for [`catch_up`]…).
     pub fn primary(&self) -> &FlatStore {
         &self.primary
     }
@@ -132,37 +132,6 @@ impl ReplicatedStore {
     /// Quiesces the primary (every acked op is then also backup-durable).
     pub fn barrier(&self) {
         self.primary.barrier();
-    }
-
-    /// The primary's core count (the number of per-core logs a suffix
-    /// export walks).
-    pub fn ncores(&self) -> usize {
-        self.backup.image().ncores()
-    }
-
-    /// Exports the suffix of the primary's `core` log past `from` as
-    /// shipping-ready [`flatstore::ReplOp`]s, returning the persisted
-    /// tail — the cursor for the next incremental export. `PmAddr::NULL`
-    /// walks the whole chain. This is the cluster's shard-migration
-    /// snapshot primitive: the same chain walk [`catch_up`] re-ships to a
-    /// stale backup, here handed to an external consumer (e.g. another
-    /// group's applier).
-    ///
-    /// Only a barriered, quiescent-for-the-slot primary yields a
-    /// consistent cut, and cursors stay valid only while the cleaner has
-    /// not reordered the chain — treat `Corrupt` as "restart the export
-    /// from NULL" (see [`flatstore::FlatStore::log_suffix`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`flatstore::FlatStore::repl_suffix`].
-    pub fn repl_suffix(
-        &self,
-        core: usize,
-        from: pmem::PmAddr,
-        f: impl FnMut(flatstore::ReplOp),
-    ) -> Result<pmem::PmAddr, StoreError> {
-        self.primary.repl_suffix(core, from, f)
     }
 
     /// The primary's full stats report with a `replication` section added.

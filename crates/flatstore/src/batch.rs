@@ -355,42 +355,6 @@ impl UsageTable {
     }
 }
 
-/// Guards the persistent checkpoint-valid flag: the log cleaner must
-/// invalidate a checkpoint (durably) before relocating any entry, or the
-/// checkpoint's entry addresses could go stale (paper §3.5 + §3.4
-/// interaction).
-pub(crate) struct CkptGuard {
-    pm: Arc<pmem::PmRegion>,
-    armed: std::sync::atomic::AtomicBool,
-    lock: Mutex<()>,
-}
-
-impl CkptGuard {
-    pub fn new(pm: Arc<pmem::PmRegion>) -> Arc<CkptGuard> {
-        Arc::new(CkptGuard {
-            pm,
-            armed: std::sync::atomic::AtomicBool::new(false),
-            lock: Mutex::new(()),
-        })
-    }
-
-    /// A checkpoint just became valid.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::Release);
-    }
-
-    /// Durably clears the checkpoint flag (idempotent, cheap when unarmed).
-    pub fn invalidate(&self) {
-        if !self.armed.load(Ordering::Acquire) {
-            return;
-        }
-        let _g = self.lock.lock();
-        if self.armed.swap(false, Ordering::AcqRel) {
-            crate::superblock::Superblock::new(&self.pm).set_ckpt_valid(false);
-        }
-    }
-}
-
 /// Per-owner-core tombstone tracking: key → (version, tombstone entry
 /// address). Needed so a new Put to a deleted key continues the version
 /// sequence and so the cleaner can judge tombstone liveness.
@@ -506,8 +470,6 @@ pub struct EngineStats {
     pub gc_chunks: AtomicU64,
     /// Entries relocated by the cleaner.
     pub gc_relocated: AtomicU64,
-    /// Checkpoints taken (paper §3.5).
-    pub checkpoints: AtomicU64,
     /// Client-observed Put latency (ns, recorded by [`StoreHandle`]).
     ///
     /// [`StoreHandle`]: crate::StoreHandle
@@ -609,8 +571,7 @@ impl EngineStats {
         }
         r.section("maintenance")
             .row("gc_chunks", Self::stat(&self.gc_chunks))
-            .row("gc_relocated", Self::stat(&self.gc_relocated))
-            .row("checkpoints", Self::stat(&self.checkpoints));
+            .row("gc_relocated", Self::stat(&self.gc_relocated));
     }
 }
 

@@ -9,7 +9,7 @@ use oplog::{newer, EntryHeader, LogEntry, LogOp, OpLog, VERSION_MASK};
 use pmalloc::{ChunkManager, CoreAllocator, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion};
 
-use crate::batch::{CkptGuard, DeletedTable, EngineStats, Group, Quarantine, UsageTable};
+use crate::batch::{DeletedTable, EngineStats, Group, Quarantine, UsageTable};
 use crate::cache::ReadCache;
 use crate::config::Config;
 use crate::error::StoreError;
@@ -19,7 +19,7 @@ use crate::request::{Op, Reply, StoreFabric};
 use crate::session::{EngineShared, Session};
 use crate::shard::{core_of, Shard};
 use crate::superblock::{Superblock, POOL_BASE};
-use crate::value::{pack, unpack};
+use crate::value::pack;
 use crate::vindex::VolatileIndex;
 
 /// Nanoseconds since `start`, saturated into a histogram sample.
@@ -32,8 +32,9 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// section of the stats report (absent on a store built by `create`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Recovery {
-    /// 1: clean shutdown + snapshot; 2: crash with a valid checkpoint;
-    /// 3: bare crash, full log scan.
+    /// 1: clean shutdown + snapshot; 3: crash (or no snapshot), full log
+    /// scan. (2 was the retired checkpoint path; the numbers stay put so
+    /// reports stay comparable.)
     path: u64,
     /// Log entries the scan decoded.
     entries_scanned: u64,
@@ -259,7 +260,6 @@ pub struct FlatStore {
     deleted: Arc<DeletedTable>,
     usage: Arc<UsageTable>,
     quarantine: Arc<Quarantine>,
-    ckpt: Arc<CkptGuard>,
     stats: Arc<EngineStats>,
     /// Hot-value read cache (`None` when `read_cache_bytes == 0`). Volatile
     /// by construction: create/open/promote all start it empty.
@@ -268,8 +268,8 @@ pub struct FlatStore {
     recovery: Option<Recovery>,
     shared: Arc<EngineShared>,
     handle: StoreHandle,
-    /// The engine's own fabric client (client id 0), used for checkpoint
-    /// barriers/cursors and the shutdown broadcast.
+    /// The engine's own fabric client (client id 0), used for the
+    /// shutdown broadcast.
     control: parking_lot::Mutex<Session>,
     workers: Vec<JoinHandle<Shard>>,
     cfg: Config,
@@ -392,20 +392,17 @@ impl FlatStore {
         }
         cfg.validate()?;
         let clean = sb.is_clean();
-        let ckpt_valid = sb.ckpt_valid();
 
         let deleted = DeletedTable::new(ncores);
         let usage = UsageTable::new();
 
-        // Three recovery paths (paper §3.5):
+        // Two recovery paths (paper §3.5):
         //  1. clean shutdown + snapshot: trust bitmaps, load the snapshot,
         //     walk only the chain structure — no log scan at all;
-        //  2. crash with a valid checkpoint: trust the bitmaps persisted at
-        //     checkpoint time, load the snapshot, replay only the log
-        //     suffix after each core's checkpoint cursor;
-        //  3. bare crash: full log scan rebuilding everything.
-        let trust_bitmaps = clean || ckpt_valid;
-        let mgr = if trust_bitmaps {
+        //  3. crash, or a clean image whose shutdown found no room for a
+        //     snapshot: full log scan rebuilding the index (and, after a
+        //     crash, the bitmaps).
+        let mgr = if clean {
             Arc::new(ChunkManager::load_clean(
                 Arc::clone(&pm),
                 PmAddr(POOL_BASE),
@@ -418,50 +415,43 @@ impl FlatStore {
                 nchunks,
             ))
         };
-        // Paths 1 and 2 bulk-load the snapshot into an index sized by its
+        // Path 1 bulk-loads the snapshot into an index sized by its
         // per-core key counts; path 3 builds its index after the scan,
         // sized by what it found.
         let mut rec = Recovery::default();
         let snapshot_index = match sb.snapshot() {
-            Some((snap, _len)) if trust_bitmaps => {
-                rec.path = if clean { 1 } else { 2 };
+            Some((snap, _len)) if clean => {
+                rec.path = 1;
                 let index =
                     Self::load_snapshot(&pm, snap, &mgr, &cfg, &deleted, &usage, ncores, &mut rec)?;
                 Some(index)
             }
-            _ => None,
+            Some(_) => {
+                // A crash inside `shutdown` after the snapshot was anchored
+                // (or an image whose checkpoint a crash left behind): the
+                // scan below treats the snapshot's block as free, so the
+                // anchor must go before any shard can reuse that chunk, or
+                // the next `write_snapshot` would free a live block.
+                sb.set_snapshot(PmAddr::NULL, 0);
+                None
+            }
+            None => None,
         };
 
         let mut logs = Vec::with_capacity(ncores);
         let index = match snapshot_index {
             Some(index) => {
+                // Path 1 resumes each log at its persisted tail: a
+                // structure-only chain walk that yields no entry.
+                let t = std::time::Instant::now();
                 for core in 0..ncores {
                     let desc = Superblock::log_desc(core);
-                    // Path 1 resumes at the persisted tail (a structure-only
-                    // chain walk); path 2 replays the post-checkpoint
-                    // suffix, newest version wins against the snapshot.
-                    let from = if clean {
-                        PmAddr(pm.read_u64(desc + 8))
-                    } else {
-                        sb.read_ckpt_cursor(core)
-                    };
-                    let t = std::time::Instant::now();
-                    let mut suffix = Vec::new();
+                    let tail = PmAddr(pm.read_u64(desc + 8));
                     let log =
-                        OpLog::recover_headers(Arc::clone(&mgr), desc, Some(from), |h, a| {
-                            suffix.push((h, a));
-                        })?;
-                    rec.scan_ns += elapsed_ns(t);
-                    let t = std::time::Instant::now();
-                    rec.entries_scanned += suffix.len() as u64;
-                    for (h, addr) in suffix {
-                        let stale =
-                            Self::apply_recovered(&index, &deleted, &usage, &mgr, ncores, h, addr)?;
-                        rec.stale_entries += u64::from(stale);
-                    }
-                    rec.newest_wins_ns += elapsed_ns(t);
+                        OpLog::recover_headers(Arc::clone(&mgr), desc, Some(tail), |_, _| {})?;
                     logs.push(log);
                 }
+                rec.scan_ns = elapsed_ns(t);
                 index
             }
             None => {
@@ -524,7 +514,7 @@ impl FlatStore {
                     match h.op {
                         LogOp::Put => {
                             winners[owner].push((h.key, pack(h.version, addr)));
-                            if let (Some(block), false) = (h.block(), trust_bitmaps) {
+                            if let (Some(block), false) = (h.block(), clean) {
                                 mgr.mark_allocated(block).map_err(|err| {
                                     StoreError::corrupt_with("recovery mark failed", err)
                                 })?;
@@ -538,7 +528,7 @@ impl FlatStore {
                 for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
                     usage.restore(chunk.offset(), u.total, u.total - won_in[chunk_id(chunk)]);
                 }
-                if !trust_bitmaps {
+                if !clean {
                     mgr.finish_recovery();
                 }
                 rec.newest_wins_ns = elapsed_ns(t);
@@ -574,7 +564,6 @@ impl FlatStore {
         }
 
         sb.set_clean(false);
-        sb.set_ckpt_valid(false); // cursors/snapshot are consumed
 
         let mut shards = Vec::with_capacity(ncores);
         for (core, log) in logs.into_iter().enumerate() {
@@ -583,71 +572,6 @@ impl FlatStore {
             shards.push((log, alloc));
         }
         Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl, Some(rec))
-    }
-
-    /// Applies one post-checkpoint log entry on top of snapshot state:
-    /// newest version wins, equal versions re-anchor the same entry (its
-    /// out-of-log block may postdate the persisted bitmaps). Returns
-    /// whether the entry itself turned out stale.
-    fn apply_recovered(
-        index: &VolatileIndex,
-        deleted: &DeletedTable,
-        usage: &UsageTable,
-        mgr: &ChunkManager,
-        ncores: usize,
-        e: EntryHeader,
-        addr: PmAddr,
-    ) -> Result<bool, StoreError> {
-        usage.note_appended(OpLog::chunk_of(addr), 1);
-        let owner = core_of(e.key, ncores);
-        let cur = index.get(owner, e.key);
-        let cur_ver = cur.map(|c| unpack(c).0);
-        let del_ver = deleted.get(owner, e.key).map(|(v, _)| v);
-        let newest = cur_ver.is_none_or(|v| newer(e.version, v))
-            && del_ver.is_none_or(|v| newer(e.version, v));
-        let mut stale = false;
-        match e.op {
-            LogOp::Put => {
-                if newest {
-                    if let Some(b) = e.block() {
-                        // Tolerate already-set: the block may be covered by
-                        // the checkpoint's persisted bitmaps.
-                        let _ = mgr.mark_allocated(b);
-                    }
-                    if let Some(old) = index.insert(owner, e.key, pack(e.version, addr))? {
-                        usage.note_dead(unpack(old).1);
-                    }
-                    if let Some((_, tomb)) = deleted.remove(owner, e.key) {
-                        usage.note_dead(tomb);
-                    }
-                } else if cur_ver == Some(e.version) && cur.map(|c| unpack(c).1) == Some(addr) {
-                    // The snapshot already references exactly this entry;
-                    // just make sure its block is accounted for.
-                    if let Some(b) = e.block() {
-                        let _ = mgr.mark_allocated(b);
-                    }
-                } else {
-                    usage.note_dead(addr);
-                    stale = true;
-                }
-            }
-            LogOp::Delete => {
-                if newest {
-                    if let Some(old) = index.remove(owner, e.key) {
-                        usage.note_dead(unpack(old).1);
-                    }
-                    if let Some((_, tomb)) = deleted.remove(owner, e.key) {
-                        usage.note_dead(tomb);
-                    }
-                    deleted.insert(owner, e.key, e.version, addr);
-                } else if del_ver != Some(e.version) {
-                    usage.note_dead(addr);
-                    stale = true;
-                }
-            }
-            LogOp::Seal => {}
-        }
-        Ok(stale)
     }
 
     /// Loads the snapshot anchored at `addr` into fresh volatile state,
@@ -725,7 +649,7 @@ impl FlatStore {
     }
 
     /// Serializes the volatile state (index, tombstones, chunk-liveness
-    /// accounting) for a shutdown snapshot or a checkpoint.
+    /// accounting) for the shutdown snapshot.
     fn snapshot_payload(&self) -> Vec<u8> {
         let mut payload: Vec<u8> = Vec::new();
         payload.extend_from_slice(&(self.cfg.ncores as u64).to_le_bytes());
@@ -779,49 +703,6 @@ impl FlatStore {
         }
     }
 
-    /// Takes a checkpoint (paper §3.5: "FlatStore also supports to
-    /// checkpoint the volatile index into PMs periodically"): records each
-    /// core's log position, persists the allocator bitmaps and snapshots
-    /// the volatile state, so that a subsequent **crash** recovery replays
-    /// only the log written after this call.
-    ///
-    /// The checkpoint stays valid until the log cleaner next relocates
-    /// entries (the cleaner durably invalidates it first). Intended to run
-    /// during quiet periods; writes racing the checkpoint are still
-    /// recovered correctly via version comparison, they just shrink the
-    /// saved work.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::OutOfSpace`] if no PM block can hold the snapshot;
-    /// [`StoreError::ShuttingDown`] if the engine is stopping.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        {
-            let mut ctl = self.control.lock();
-            ctl.barrier()?;
-            // 1. Per-core cursors (each core persists its own, on its
-            //    thread).
-            ctl.ckpt_cursors()?;
-        }
-        // 2. Allocator bitmaps (covers everything allocated so far).
-        self.mgr.persist_bitmaps();
-        // 3. Volatile-state snapshot.
-        let payload = self.snapshot_payload();
-        if !self.write_snapshot(&payload) {
-            return Err(StoreError::OutOfSpace);
-        }
-        // 4. Publish.
-        Superblock::new(&self.pm).set_ckpt_valid(true);
-        // Durability point: cursors, bitmaps and snapshot are all
-        // persisted, and the valid flag just made them reachable.
-        self.pm.commit_point();
-        self.ckpt.arm();
-        self.stats
-            .checkpoints
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn start(
         pm: Arc<PmRegion>,
@@ -836,7 +717,6 @@ impl FlatStore {
     ) -> Result<FlatStore, StoreError> {
         let ncores = cfg.ncores;
         let quarantine = Quarantine::new(20);
-        let ckpt = CkptGuard::new(Arc::clone(&pm));
         let stats = Arc::new(EngineStats::default());
         let cache = ReadCache::new(cfg.read_cache_bytes, ncores);
         // Each member's publish list must absorb a burst of posts between
@@ -905,7 +785,6 @@ impl FlatStore {
                 Arc::clone(&deleted),
                 Arc::clone(&usage),
                 Arc::clone(&quarantine),
-                Arc::clone(&ckpt),
                 Arc::clone(&groups[core / cfg.group_size]),
                 core % cfg.group_size,
                 cfg.gc,
@@ -938,7 +817,6 @@ impl FlatStore {
             deleted,
             usage,
             quarantine,
-            ckpt,
             stats,
             cache,
             recovery,
@@ -1207,7 +1085,6 @@ impl FlatStore {
             sb.set_snapshot(PmAddr::NULL, 0);
         }
         self.mgr.persist_bitmaps();
-        sb.set_ckpt_valid(false);
         sb.set_clean(true);
         // Durability point: the image is now a complete clean-shutdown
         // state (snapshot + bitmaps + clean flag).
@@ -1363,6 +1240,102 @@ mod tests {
         pm.simulate_crash();
         let store = FlatStore::open(pm, cfg).unwrap();
         check(&store, &model);
+    }
+
+    /// A crash inside `shutdown` after `write_snapshot` anchored the
+    /// snapshot, before the clean flag: the open takes the scan path,
+    /// which hands the snapshot's chunk back to the pool. The anchor must
+    /// go with it, or the next `write_snapshot` frees that chunk's block 0
+    /// again after the chunk was reused — and a later Put overwrites an
+    /// acked value.
+    #[test]
+    fn a_snapshot_anchor_left_by_a_crash_never_frees_a_live_block() {
+        let cfg = Config::builder()
+            .pm_bytes(64 << 20)
+            .dram_bytes(8 << 20)
+            .ncores(2)
+            .group_size(2)
+            .crash_tracking(true)
+            .build()
+            .unwrap();
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        pipelined_puts(&store, 0..500, |i| i, |i| value_bytes(i, 64));
+        // The first half of `shutdown`, then the crash.
+        assert!(store.write_snapshot(&store.snapshot_payload()));
+        let pm = store.kill();
+        pm.simulate_crash();
+
+        let store = FlatStore::open(pm, cfg.clone()).unwrap();
+        assert_eq!(store.recovery.map(|r| r.path), Some(3));
+        let key = |i: u64| 10_000 + i;
+        pipelined_puts(&store, 0..3_000, key, |i| value_bytes(i, 1_000));
+        let pm = store.shutdown().unwrap();
+        let store = FlatStore::open(pm, cfg).unwrap();
+        pipelined_puts(&store, 3_000..6_000, key, |i| value_bytes(i, 1_000));
+        for i in 0..500 {
+            assert_eq!(store.get(i).unwrap(), Some(value_bytes(i, 64)), "key {i}");
+        }
+        for i in 0..6_000 {
+            let (k, v) = (key(i), store.get(key(i)).unwrap());
+            assert!(v == Some(value_bytes(i, 1_000)), "key {k}");
+        }
+    }
+
+    /// A clean shutdown of a full pool finds no chunk for the snapshot:
+    /// the reopen scans the log over the bitmaps the shutdown persisted,
+    /// and every acked key reads back.
+    #[test]
+    fn a_clean_shutdown_of_a_full_pool_reopens_by_scan() {
+        let cfg = Config::builder()
+            .pm_bytes(20 << 20)
+            .dram_bytes(8 << 20)
+            .ncores(2)
+            .group_size(2)
+            .build()
+            .unwrap();
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        let mut session = store.session().unwrap();
+        let mut keys = HashMap::new();
+        let mut acked = Vec::new();
+        let mut full = false;
+        let mut next = 0u64;
+        while !full || !keys.is_empty() {
+            if !full {
+                let ticket = session.submit(Op::put(next, value_bytes(next, 200)));
+                keys.insert(ticket.unwrap(), next);
+                next += 1;
+            }
+            let done = if full {
+                session.wait_all().unwrap()
+            } else {
+                session.poll_completions()
+            };
+            for (ticket, reply) in done {
+                let k = keys.remove(&ticket).unwrap();
+                match reply {
+                    Reply::Put(Ok(())) => acked.push(k),
+                    Reply::Put(Err(StoreError::OutOfSpace)) => full = true,
+                    other => panic!("put {k}: {other:?}"),
+                }
+            }
+        }
+        drop(session);
+        assert_eq!(store.free_chunks(), 0);
+        assert!(acked.len() > 10_000, "only {} puts acked", acked.len());
+
+        let pm = store.shutdown().unwrap();
+        let store = FlatStore::open(pm, cfg).unwrap();
+        assert_eq!(store.recovery.map(|r| r.path), Some(3));
+        assert_eq!(store.len(), acked.len());
+        let mut session = store.session().unwrap();
+        for k in acked {
+            keys.insert(session.submit(Op::Get { key: k }).unwrap(), k);
+        }
+        for (ticket, reply) in session.wait_all().unwrap() {
+            let k = keys[&ticket];
+            let want = Reply::Get(Ok(Some(value_bytes(k, 200))));
+            assert!(reply == want, "key {k}");
+        }
     }
 
     /// A clean shutdown → open of 100 k keys sizes the index from the

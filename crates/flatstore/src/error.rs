@@ -37,14 +37,6 @@ pub enum StoreError {
     ///
     /// [`Config::builder`]: crate::Config::builder
     InvalidConfig(String),
-    /// The group this operation reached no longer owns the key's slot —
-    /// the cluster's routing table changed under the client. Carries the
-    /// routing epoch at the time of refusal; a client whose cached table
-    /// is older must refresh its routes and retry.
-    WrongGroup {
-        /// The refusing node's current routing epoch.
-        epoch: u64,
-    },
     /// Internal invariant violation (corruption). `source` carries the
     /// PM-layer cause when one exists.
     Corrupt {
@@ -99,7 +91,6 @@ impl PartialEq for StoreError {
             | (RangeUnsupported, RangeUnsupported)
             | (UnknownTicket, UnknownTicket) => true,
             (BadImage(a), BadImage(b)) | (InvalidConfig(a), InvalidConfig(b)) => a == b,
-            (WrongGroup { epoch: a }, WrongGroup { epoch: b }) => a == b,
             (Corrupt { detail: a, .. }, Corrupt { detail: b, .. }) => a == b,
             _ => false,
         }
@@ -121,9 +112,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnknownTicket => write!(f, "ticket is not pending on this session"),
             StoreError::InvalidConfig(s) => write!(f, "invalid configuration: {s}"),
-            StoreError::WrongGroup { epoch } => {
-                write!(f, "slot moved to another group (routing epoch {epoch})")
-            }
             StoreError::Corrupt { detail, .. } => write!(f, "corruption detected: {detail}"),
         }
     }

@@ -82,11 +82,9 @@
 //! ```
 //!
 //! For blocking callers, [`StoreHandle`] (clonable, internally
-//! synchronized) implements the [`KvApi`] trait; code taking
-//! `&mut impl KvApi` also runs unchanged over the cluster layer's routed
-//! client.
+//! synchronized) offers `put`/`get`/`delete`/`range`, each a depth-1
+//! pipeline over a private session.
 
-mod api;
 mod batch;
 mod cache;
 mod config;
@@ -101,7 +99,6 @@ mod superblock;
 mod value;
 mod vindex;
 
-pub use api::KvApi;
 pub use batch::EngineStats;
 pub use config::{Config, ConfigBuilder, GcConfig, IndexKind};
 pub use engine::{FlatStore, StoreHandle};
@@ -116,7 +113,6 @@ pub use session::{Session, Ticket};
 /// use flatstore::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::api::KvApi;
     pub use crate::config::Config;
     pub use crate::error::StoreError;
     pub use crate::request::{Op, Reply};

@@ -208,11 +208,10 @@ impl BackupImage {
     }
 
     /// Durably records that everything before the primary's log `tail` on
-    /// `core` has been applied here. Reuses the checkpoint-cursor slot:
-    /// a backup image never has a valid checkpoint, and a rejoining
-    /// primary reads this cursor to ship only the suffix past it.
+    /// `core` has been applied here. A rejoining primary reads this
+    /// cursor to ship only the suffix past it.
     pub fn set_ship_cursor(&self, core: usize, tail: PmAddr) {
-        let cursor = Superblock::ckpt_cursor(core);
+        let cursor = Superblock::ship_cursor(core);
         self.pm.write_u64(cursor, tail.offset());
         self.pm.persist(cursor, 8);
         // Durability point: the batch this cursor covers was already
@@ -223,7 +222,7 @@ impl BackupImage {
     /// The persisted ship cursor of `core` ([`PmAddr::NULL`] before the
     /// first batch lands).
     pub fn ship_cursor(&self, core: usize) -> PmAddr {
-        PmAddr(self.pm.read_u64(Superblock::ckpt_cursor(core)))
+        PmAddr(self.pm.read_u64(Superblock::ship_cursor(core)))
     }
 }
 

@@ -7,7 +7,7 @@
 //! number; the server core echoes the same `seq` back on the [`Reply`]
 //! envelope so the session can match completions to submissions in any
 //! order. `OpReq` additionally carries the engine-internal control verbs
-//! (barrier, checkpoint cursor, shutdown) that never appear in `Op`.
+//! (barrier, shutdown) that never appear in `Op`.
 
 use flatrpc::Envelope;
 
@@ -127,9 +127,6 @@ pub(crate) enum OpReq {
     /// Replies once every request this core received before it has fully
     /// completed (tests and benchmarks use this to quiesce).
     Barrier,
-    /// Records this core's current log tail as its checkpoint cursor
-    /// (persisted), then replies. Only sent by `FlatStore::checkpoint`.
-    CkptCursor,
     /// Begin draining; the worker exits once quiet (never answered).
     Shutdown,
 }
@@ -159,7 +156,7 @@ pub enum Reply {
     Delete(Result<bool, StoreError>),
     /// Outcome of a Range scan.
     Range(Result<Vec<(u64, Vec<u8>)>, StoreError>),
-    /// Acknowledgement of a control request (barrier, checkpoint cursor);
+    /// Acknowledgement of a control request (a barrier);
     /// never surfaced through the public completion API.
     Control,
 }

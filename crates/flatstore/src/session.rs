@@ -408,16 +408,6 @@ impl Session {
         self.await_control(&seqs)
     }
 
-    /// Asks every core to persist its checkpoint cursor and waits for the
-    /// acks (engine-internal; callers use `FlatStore::checkpoint`).
-    pub(crate) fn ckpt_cursors(&mut self) -> Result<(), StoreError> {
-        let mut seqs = Vec::with_capacity(self.shared.ncores);
-        for core in 0..self.shared.ncores {
-            seqs.push(self.submit_control(core, OpReq::CkptCursor)?);
-        }
-        self.await_control(&seqs)
-    }
-
     fn await_control(&mut self, seqs: &[u64]) -> Result<(), StoreError> {
         while seqs.iter().any(|s| self.pending_control.contains(s)) {
             self.absorb_blocking()?;

@@ -19,9 +19,7 @@ use oplog::{newer, ChunkUsage, LogEntry, LogOp, OpLog, Payload, INLINE_MAX, VERS
 use pmalloc::{ChunkManager, CoreAllocator};
 use pmem::{PmAddr, PmRegion};
 
-use crate::batch::{
-    CkptGuard, Completion, DeletedTable, EngineStats, Group, Posted, Quarantine, UsageTable,
-};
+use crate::batch::{Completion, DeletedTable, EngineStats, Group, Posted, Quarantine, UsageTable};
 use crate::cache::ReadCache;
 use crate::config::GcConfig;
 use crate::error::StoreError;
@@ -87,7 +85,6 @@ pub(crate) struct Shard {
     deleted: Arc<DeletedTable>,
     usage: Arc<UsageTable>,
     quarantine: Arc<Quarantine>,
-    ckpt: Arc<CkptGuard>,
     group: Arc<Group>,
     slot: usize,
     gc: GcConfig,
@@ -123,7 +120,6 @@ pub(crate) struct Shard {
     deferred_keys: HashMap<u64, u32>,
     inflight: VecDeque<Inflight>,
     barriers: Vec<(ClientId, u64)>,
-    ckpt_cursors: Vec<(ClientId, u64)>,
     staged: Vec<(Posted, Inflight)>,
     pending_fence: bool,
     draining: bool,
@@ -143,7 +139,6 @@ impl Shard {
         deleted: Arc<DeletedTable>,
         usage: Arc<UsageTable>,
         quarantine: Arc<Quarantine>,
-        ckpt: Arc<CkptGuard>,
         group: Arc<Group>,
         slot: usize,
         gc: GcConfig,
@@ -168,7 +163,6 @@ impl Shard {
             deleted,
             usage,
             quarantine,
-            ckpt,
             group,
             slot,
             gc,
@@ -185,7 +179,6 @@ impl Shard {
             deferred_keys: HashMap::new(),
             inflight: VecDeque::new(),
             barriers: Vec::new(),
-            ckpt_cursors: Vec::new(),
             staged: Vec::new(),
             pending_fence: false,
             draining: false,
@@ -209,7 +202,6 @@ impl Shard {
             if self.draining
                 && self.quiet()
                 && self.barriers.is_empty()
-                && self.ckpt_cursors.is_empty()
                 && !self.server.has_pending_requests()
             {
                 if self.core != 0 {
@@ -347,7 +339,6 @@ impl Shard {
             OpReq::Delete { key } => self.begin_delete(client, seq, key, span),
             OpReq::Range { lo, hi, limit } => self.serve_range(client, seq, lo, hi, limit, span),
             OpReq::Barrier => self.barriers.push((client, seq)),
-            OpReq::CkptCursor => self.ckpt_cursors.push((client, seq)),
             OpReq::Shutdown => self.draining = true,
         }
     }
@@ -1023,19 +1014,6 @@ impl Shard {
             for (client, seq) in std::mem::take(&mut self.barriers) {
                 self.respond(client, seq, Reply::Control);
             }
-            if !self.ckpt_cursors.is_empty() {
-                // Record this core's checkpoint cursor: everything before
-                // the current tail is covered by the snapshot being taken.
-                let cursor = crate::superblock::Superblock::ckpt_cursor(self.core);
-                self.pm.write_u64(cursor, self.log.tail().offset());
-                self.pm.persist(cursor, 8);
-                // Durability point: the shard is quiet, so its whole log
-                // prefix (and now the cursor) is persistent.
-                self.pm.commit_point();
-                for (client, seq) in std::mem::take(&mut self.ckpt_cursors) {
-                    self.respond(client, seq, Reply::Control);
-                }
-            }
         }
     }
 
@@ -1069,9 +1047,6 @@ impl Shard {
     }
 
     fn clean(&mut self, victim: PmAddr) {
-        // Relocation moves entry addresses: any standing checkpoint must be
-        // durably invalidated first.
-        self.ckpt.invalidate();
         let index = Arc::clone(&self.index);
         let deleted = Arc::clone(&self.deleted);
         let ncores = self.ncores;

@@ -5,12 +5,16 @@
 //!
 //! ```text
 //! 0x0000  magic, layout version, ncores, nchunks, clean flag,
-//!         snapshot address + length, checkpoint-valid flag
+//!         snapshot address + length, one reserved word (0x38)
 //! 0x1000  per-core operation-log descriptors, one cacheline each
-//! 0x2000  per-core checkpoint cursors (log tail at checkpoint time),
-//!         one cacheline each, written by the owning core
+//! 0x2000  per-core ship cursors (a backup image's replicated log tail),
+//!         one cacheline each
 //! 4 MB    chunk pool (4 MB-aligned as the lazy-persist allocator requires)
 //! ```
+//!
+//! The word at 0x38 held the flag of a periodic index checkpoint, since
+//! removed. It stays reserved so that no other field moves: `format`
+//! zeroes it and nothing reads it.
 
 use pmem::{PmAddr, PmRegion};
 
@@ -26,10 +30,10 @@ const OFF_NCHUNKS: u64 = 0x18;
 const OFF_CLEAN: u64 = 0x20;
 const OFF_SNAP_ADDR: u64 = 0x28;
 const OFF_SNAP_LEN: u64 = 0x30;
-const OFF_CKPT_VALID: u64 = 0x38;
+const OFF_RESERVED: u64 = 0x38;
 
 const DESC_BASE: u64 = 0x1000;
-const CKPT_BASE: u64 = 0x2000;
+const SHIP_BASE: u64 = 0x2000;
 
 /// Base of the chunk pool.
 pub(crate) const POOL_BASE: u64 = 4 << 20;
@@ -52,7 +56,7 @@ impl<'a> Superblock<'a> {
         self.pm.write_u64(PmAddr(OFF_CLEAN), 0);
         self.pm.write_u64(PmAddr(OFF_SNAP_ADDR), 0);
         self.pm.write_u64(PmAddr(OFF_SNAP_LEN), 0);
-        self.pm.write_u64(PmAddr(OFF_CKPT_VALID), 0);
+        self.pm.write_u64(PmAddr(OFF_RESERVED), 0);
         self.pm.flush(PmAddr(0), 0x40);
         self.pm.fence();
         // Magic written last: a torn format is unrecognizable, not corrupt.
@@ -104,28 +108,10 @@ impl<'a> Superblock<'a> {
         PmAddr(DESC_BASE + core as u64 * 64)
     }
 
-    /// The checkpoint-cursor address of `core` (one cacheline each; only
-    /// that core's worker writes it).
-    pub fn ckpt_cursor(core: usize) -> PmAddr {
-        PmAddr(CKPT_BASE + core as u64 * 64)
-    }
-
-    /// Whether a checkpoint (snapshot + per-core cursors) is valid.
-    pub fn ckpt_valid(&self) -> bool {
-        self.pm.read_u64(PmAddr(OFF_CKPT_VALID)) == 1
-    }
-
-    /// Sets/clears the checkpoint-valid flag (persisted). The log cleaner
-    /// clears it *before* relocating any entry, so a valid checkpoint's
-    /// entry addresses are never stale.
-    pub fn set_ckpt_valid(&self, valid: bool) {
-        self.pm.write_u64(PmAddr(OFF_CKPT_VALID), valid as u64);
-        self.pm.persist(PmAddr(OFF_CKPT_VALID), 8);
-    }
-
-    /// Reads core `core`'s checkpoint cursor.
-    pub fn read_ckpt_cursor(&self, core: usize) -> PmAddr {
-        PmAddr(self.pm.read_u64(Self::ckpt_cursor(core)))
+    /// The ship-cursor address of `core` (one cacheline each; see
+    /// [`BackupImage::set_ship_cursor`](crate::BackupImage::set_ship_cursor)).
+    pub fn ship_cursor(core: usize) -> PmAddr {
+        PmAddr(SHIP_BASE + core as u64 * 64)
     }
 }
 
@@ -146,11 +132,6 @@ mod tests {
         assert_eq!(sb.snapshot(), Some((PmAddr(0x40_0000), 123)));
         sb.set_snapshot(PmAddr::NULL, 0);
         assert_eq!(sb.snapshot(), None);
-        assert!(!sb.ckpt_valid());
-        sb.set_ckpt_valid(true);
-        assert!(sb.ckpt_valid());
-        sb.set_ckpt_valid(false);
-        assert!(!sb.ckpt_valid());
     }
 
     #[test]
@@ -169,11 +150,11 @@ mod tests {
         assert_ne!(a.cacheline(), b.cacheline());
         assert!(a.is_aligned(64) && b.is_aligned(64));
         // They stay below the chunk pool for any realistic core count.
-        assert!(Superblock::log_desc(60).offset() < CKPT_BASE);
-        assert!(Superblock::ckpt_cursor(1024).offset() < POOL_BASE);
+        assert!(Superblock::log_desc(60).offset() < SHIP_BASE);
+        assert!(Superblock::ship_cursor(1024).offset() < POOL_BASE);
         assert_ne!(
             Superblock::log_desc(0).cacheline(),
-            Superblock::ckpt_cursor(0).cacheline()
+            Superblock::ship_cursor(0).cacheline()
         );
     }
 }

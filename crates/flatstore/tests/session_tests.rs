@@ -222,30 +222,3 @@ fn sessions_error_after_shutdown() {
     assert!(matches!(handle.session(), Err(StoreError::ShuttingDown)));
     assert!(matches!(handle.put(1, b"x"), Err(StoreError::ShuttingDown)));
 }
-
-/// `KvApi` drives a `StoreHandle` both through a generic bound and as a
-/// trait object.
-#[test]
-fn kv_api_drives_store_handle_generically_and_as_dyn() {
-    use flatstore::KvApi;
-
-    fn drive(kv: &mut (impl KvApi + ?Sized), base: u64) {
-        kv.put(base, b"unified").unwrap();
-        assert_eq!(kv.get(base).unwrap(), Some(b"unified".to_vec()));
-        assert!(kv.delete(base).unwrap());
-        assert_eq!(kv.get(base).unwrap(), None);
-        assert!(matches!(
-            kv.range(0, 10, 4),
-            Err(StoreError::RangeUnsupported)
-        ));
-    }
-
-    let store = FlatStore::create(cfg(2, 4)).unwrap();
-    let mut handle = store.handle();
-    drive(&mut handle, 100);
-    // Object safety: the implementation can be picked at run time.
-    let mut dyn_kv: Box<dyn KvApi> = Box::new(handle);
-    drive(dyn_kv.as_mut(), 200);
-    drop(dyn_kv);
-    store.shutdown().unwrap();
-}

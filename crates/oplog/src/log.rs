@@ -179,13 +179,12 @@ impl OpLog {
     /// the volatile index (newest version wins) and finds the per-chunk
     /// entry counts in [`usages`](Self::usages) afterwards.
     ///
-    /// With `from = Some(cursor)` (a checkpoint cursor: a tail address
-    /// recorded while the log was quiescent) every entry before the cursor
-    /// is skipped, and chunks preceding the cursor's chunk are not scanned
-    /// at all — the checkpoint's recovery speedup (paper §3.5). Only sound
-    /// while the chain has not been re-ordered by the cleaner since the
-    /// cursor was taken (the engine invalidates checkpoints before
-    /// cleaning).
+    /// With `from = Some(cursor)` (a tail address recorded while the log
+    /// was quiescent — the engine passes a clean shutdown's persisted
+    /// tail, so the walk checks only the chain's structure) every entry
+    /// before the cursor is skipped, and chunks preceding the cursor's
+    /// chunk are not scanned at all. Only sound while the chain has not
+    /// been re-ordered by the cleaner since the cursor was taken.
     ///
     /// An entry failing its CRC-8 (a torn write) is **truncated, not
     /// replayed**: the scan stops there, and if the tear precedes the

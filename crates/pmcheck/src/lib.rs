@@ -21,7 +21,7 @@
 //!
 //! Commit points are placed by the durability owners themselves:
 //! `oplog::OpLog` marks one after persisting its tail pointer, and the
-//! `flatstore` engine after publishing a checkpoint or clean shutdown. The
+//! `flatstore` engine after publishing a clean shutdown. The
 //! checker then verifies the claim those markers make.
 //!
 //! # Example: catching a dropped flush

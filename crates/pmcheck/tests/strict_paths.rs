@@ -111,7 +111,7 @@ fn flatstore_lifecycle_is_checker_clean() {
         .expect("valid test config");
 
     // `create` owns its region, so tracing starts at the reopen: the whole
-    // open → put/delete → checkpoint → shutdown lifecycle is checked.
+    // open → put/delete → get → shutdown lifecycle is checked.
     let store = FlatStore::create(cfg.clone()).unwrap();
     for k in 0..64u64 {
         store.put(k, value_bytes(k, 30)).unwrap();
@@ -134,7 +134,6 @@ fn flatstore_lifecycle_is_checker_clean() {
         store.delete(k * 5).unwrap();
     }
     store.barrier();
-    store.checkpoint().unwrap();
     for k in 0..256u64 {
         store.get(k).unwrap();
     }

@@ -463,7 +463,7 @@ impl PmRegion {
     /// Marks a **durability commit point**: the caller asserts that every
     /// store it issued so far has been flushed and fenced. The operation
     /// log places one after persisting its tail pointer, and the engine
-    /// after publishing a checkpoint or clean-shutdown superblock.
+    /// after publishing a clean-shutdown superblock.
     ///
     /// With tracing enabled this emits [`PmEvent::CommitPoint`] carrying a
     /// monotonically increasing epoch, which `pmcheck` replays to verify

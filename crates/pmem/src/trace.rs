@@ -34,7 +34,7 @@ pub enum PmEvent {
     /// [`PmRegion::commit_point`](crate::PmRegion::commit_point): the
     /// caller asserts that everything it wrote so far is persistent (e.g.
     /// the operation log just persisted its tail pointer, or the engine
-    /// just published a checkpoint). `pmcheck` verifies the claim: every
+    /// just published a clean shutdown). `pmcheck` verifies the claim: every
     /// store issued before a commit point must have been flushed **and**
     /// fenced by the time the marker appears in the stream.
     ///

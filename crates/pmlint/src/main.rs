@@ -6,8 +6,8 @@
 //! |------|-------|-------------|
 //! | `safety-comment` | every file | each line containing `unsafe` carries a `// SAFETY:` comment on it or directly above |
 //! | `write-without-persist` | oplog, pmalloc, indexes, flatstore, flatrepl `src/` | a function that stores to PM (`write*`/`fill`) must also flush/fence/persist, or explain why its caller does |
-//! | `sim-wall-clock` | simkv, obs, flatclus `src/` | no `Instant::now`/`SystemTime` in clock-agnostic code: the simulator runs on virtual time only, the obs span/histogram layer must take every timestamp from its caller so the same code serves both wall-clock and virtual-time producers, and the cluster layer stamps migrations with `flatrpc::clock` so its accounting stays monotonic |
-//! | `no-unwrap` | pmem, pmalloc, oplog, indexes, flatstore, flatclus `src/` | no `.unwrap()`/`.expect(` in non-test library code |
+//! | `sim-wall-clock` | simkv, obs `src/` | no `Instant::now`/`SystemTime` in clock-agnostic code: the simulator runs on virtual time only, and the obs span/histogram layer must take every timestamp from its caller so the same code serves both wall-clock and virtual-time producers |
+//! | `no-unwrap` | pmem, pmalloc, oplog, indexes, flatstore `src/` | no `.unwrap()`/`.expect(` in non-test library code |
 //! | `volatile-only` | flatstore `src/cache.rs` | the DRAM read cache must never touch PM (`PmRegion`/`PmAddr`/flush/fence/persist) — its whole coherence argument rests on being reconstructible-from-nothing volatile state |
 //!
 //! A finding can be waived in place with an *escape comment* on the
@@ -27,17 +27,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Crates whose `src/` must stay free of `.unwrap()`/`.expect(`: they sit
-/// on the persistence path (or, for `flatclus`, the migration path —
-/// where a panic mid-transfer strands a slot half-shipped), so a panic
-/// can strand half-written PM state.
-const NO_UNWRAP_CRATES: &[&str] = &[
-    "pmem",
-    "pmalloc",
-    "oplog",
-    "indexes",
-    "flatstore",
-    "flatclus",
-];
+/// on the persistence path, so a panic can strand half-written PM state.
+const NO_UNWRAP_CRATES: &[&str] = &["pmem", "pmalloc", "oplog", "indexes", "flatstore"];
 
 /// Crates whose `src/` functions are held to the write-implies-persist rule.
 const WRITE_PERSIST_CRATES: &[&str] = &["oplog", "pmalloc", "indexes", "flatstore", "flatrepl"];
@@ -337,10 +328,8 @@ fn scope_of(rel: &Path) -> Scope {
         write_persist: lib_src && WRITE_PERSIST_CRATES.contains(&krate),
         // obs rides along: span/histogram code must never read the wall
         // clock itself — callers pass timestamps in, which is exactly what
-        // lets the simulator reuse it unchanged under virtual time. The
-        // cluster layer rides along too: it stamps migration windows with
-        // `flatrpc::clock::now_ns` (monotonic), never the system clock.
-        sim_wall_clock: lib_src && ["simkv", "obs", "flatclus"].contains(&krate),
+        // lets the simulator reuse it unchanged under virtual time.
+        sim_wall_clock: lib_src && ["simkv", "obs"].contains(&krate),
         volatile_only: lib_src && krate == "flatstore" && parts[3..] == ["cache.rs"],
         // The fabric hot path (RPC ring, engine, batching) plus obs: any
         // `Relaxed` access there is either a stat counter or a claim
@@ -750,14 +739,8 @@ mod tests {
     fn no_unwrap_scoped_to_persistence_crate_src() {
         let src = "fn f() { x.unwrap(); }\n";
         assert_eq!(rules(&check("crates/pmem/src/a.rs", src)), ["no-unwrap"]);
-        // The cluster migration path is panic-free by the same rule.
-        assert_eq!(
-            rules(&check("crates/flatclus/src/migrate.rs", src)),
-            ["no-unwrap"]
-        );
         assert!(check("crates/obs/src/a.rs", src).is_empty());
         assert!(check("crates/pmem/tests/a.rs", src).is_empty());
-        assert!(check("crates/flatclus/tests/a.rs", src).is_empty());
 
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(check("crates/pmem/src/a.rs", in_test).is_empty());
@@ -785,14 +768,7 @@ mod tests {
             rules(&check("crates/obs/src/span.rs", src)),
             ["sim-wall-clock"]
         );
-        // flatclus stamps migrations with flatrpc's monotonic clock; the
-        // system clock is off limits in its library code too.
-        assert_eq!(
-            rules(&check("crates/flatclus/src/migrate.rs", src)),
-            ["sim-wall-clock"]
-        );
         assert!(check("crates/obs/tests/a.rs", src).is_empty());
-        assert!(check("crates/flatclus/tests/a.rs", src).is_empty());
         assert!(check("crates/flatstore/src/a.rs", src).is_empty());
     }
 

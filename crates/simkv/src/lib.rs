@@ -42,14 +42,12 @@
 //! ```
 
 mod basesim;
-pub mod clussim;
 mod common;
 mod flatsim;
 mod metrics;
 mod params;
 pub mod probe;
 
-pub use clussim::{run_cluster, ClusterSimConfig, ClusterSummary, MigrationModel};
 pub use metrics::{Summary, WindowStat};
 pub use params::{
     Ablation, BaselineKind, CostParams, CpuParams, Engine, ExecModel, NetParams, SimConfig,

@@ -13,11 +13,9 @@
 //! run (and the discrete-event simulation) is reproducible.
 
 mod etc;
-mod slots;
 mod zipf;
 
 pub use etc::{EtcWorkload, SizeClass, ETC_LARGE_PCT, ETC_SMALL_PCT, ETC_TINY_PCT};
-pub use slots::{rendezvous_assign, rendezvous_weight, slot_of_key, NSLOTS};
 pub use zipf::Zipfian;
 
 use rand::rngs::SmallRng;
