@@ -20,7 +20,7 @@ use crate::session::{EngineShared, Session};
 use crate::shard::{core_of, Shard};
 use crate::superblock::{Superblock, POOL_BASE};
 use crate::value::pack;
-use crate::vindex::VolatileIndex;
+use crate::vindex::{LaneIndex, VolatileIndex};
 
 /// Nanoseconds since `start`, saturated into a histogram sample.
 #[inline]
@@ -60,6 +60,10 @@ impl Recovery {
             .row("index_load_ns", self.index_load_ns);
     }
 }
+
+/// Bits of a path-3 newest-wins record that name its log: `Config`
+/// allows at most 60 cores.
+const LOG_BITS: u32 = 6;
 
 /// Runs `f(i, item)` for every item on a thread of its own and returns
 /// the results in item order (recovery's per-core phases). A panic on a
@@ -330,12 +334,7 @@ impl FlatStore {
             PmAddr(POOL_BASE),
             nchunks,
         ));
-        let index = Arc::new(VolatileIndex::build(
-            cfg.index,
-            cfg.ncores,
-            cfg.dram_bytes,
-            0,
-        )?);
+        let index = Arc::new(VolatileIndex::build(cfg.index, cfg.ncores, cfg.dram_bytes)?);
         let deleted = DeletedTable::new(cfg.ncores);
         let usage = UsageTable::new();
 
@@ -438,12 +437,12 @@ impl FlatStore {
             None => None,
         };
 
-        let mut logs = Vec::with_capacity(ncores);
-        let index = match snapshot_index {
+        let (logs, index) = match snapshot_index {
             Some(index) => {
                 // Path 1 resumes each log at its persisted tail: a
                 // structure-only chain walk that yields no entry.
                 let t = std::time::Instant::now();
+                let mut logs = Vec::with_capacity(ncores);
                 for core in 0..ncores {
                     let desc = Superblock::log_desc(core);
                     let tail = PmAddr(pm.read_u64(desc + 8));
@@ -452,100 +451,11 @@ impl FlatStore {
                     logs.push(log);
                 }
                 rec.scan_ns = elapsed_ns(t);
-                index
+                (logs, index)
             }
             None => {
-                // Path 3: one pass over entry headers, no owned values.
                 rec.path = 3;
-                let t = std::time::Instant::now();
-                // Each log is a chain of its own: scan them in parallel,
-                // then concatenate in core order (the order a sequential
-                // scan yields).
-                let parts = on_threads(vec![(); ncores], |core, ()| {
-                    let mut part: Vec<(EntryHeader, PmAddr)> = Vec::new();
-                    let desc = Superblock::log_desc(core);
-                    let collect = |h, a| part.push((h, a));
-                    OpLog::recover_headers(Arc::clone(&mgr), desc, None, collect)
-                        .map(|log| (log, part))
-                });
-                let mut scanned: Vec<(EntryHeader, PmAddr)> = Vec::new();
-                for part in parts {
-                    let (log, part) = part?;
-                    logs.push(log);
-                    if scanned.is_empty() {
-                        scanned = part;
-                    } else {
-                        scanned.extend(part);
-                    }
-                }
-                rec.scan_ns = elapsed_ns(t);
-                rec.entries_scanned = scanned.len() as u64;
-
-                // Newest version of each key wins. Sorting (key, log
-                // position) puts each key's entries in one run, in log
-                // order, and folding a run with `newer` picks the winner a
-                // log-order pass would. The version rides in the low bits
-                // beside the position, so the fold reads `scanned` only
-                // for winners; a chunk's dead count is its entries minus
-                // its winners. Winning Puts go to their core's list.
-                let t = std::time::Instant::now();
-                let ver_bits = VERSION_MASK.count_ones();
-                let mut runs: Vec<(u64, u64)> = scanned
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (h, _))| (h.key, (i as u64) << ver_bits | u64::from(h.version)))
-                    .collect();
-                runs.sort_unstable();
-                let version = |r: u64| (r & u64::from(VERSION_MASK)) as u32;
-                let chunk_id = |a: PmAddr| ((a.offset() - POOL_BASE) / CHUNK_SIZE) as usize;
-                let mut won_in = vec![0u32; nchunks as usize];
-                let mut winners: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ncores];
-                for run in runs.chunk_by(|a, b| a.0 == b.0) {
-                    let mut won = run[0].1;
-                    for &(_, r) in &run[1..] {
-                        if newer(version(r), version(won)) {
-                            won = r;
-                        }
-                    }
-                    rec.stale_entries += run.len() as u64 - 1;
-                    let (h, addr) = scanned[(won >> ver_bits) as usize];
-                    won_in[chunk_id(addr)] += 1;
-                    let owner = core_of(h.key, ncores);
-                    match h.op {
-                        LogOp::Put => {
-                            winners[owner].push((h.key, pack(h.version, addr)));
-                            if let (Some(block), false) = (h.block(), clean) {
-                                mgr.mark_allocated(block).map_err(|err| {
-                                    StoreError::corrupt_with("recovery mark failed", err)
-                                })?;
-                            }
-                        }
-                        LogOp::Delete => deleted.insert(owner, h.key, h.version, addr),
-                        LogOp::Seal => {}
-                    }
-                }
-                drop((runs, scanned));
-                for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
-                    usage.restore(chunk.offset(), u.total, u.total - won_in[chunk_id(chunk)]);
-                }
-                if !clean {
-                    mgr.finish_recovery();
-                }
-                rec.newest_wins_ns = elapsed_ns(t);
-
-                let t = std::time::Instant::now();
-                let most = winners.iter().map(Vec::len).max().unwrap_or(0);
-                let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, most)?;
-                rec.index_build_ns = elapsed_ns(t);
-
-                // Each core's shard is a table of its own: load them in
-                // parallel.
-                let t = std::time::Instant::now();
-                on_threads(winners, |core, mut pairs| index.bulk_load(core, &mut pairs))
-                    .into_iter()
-                    .collect::<Result<(), _>>()?;
-                rec.index_load_ns = elapsed_ns(t);
-                index
+                Self::scan_logs(&mgr, &cfg, &deleted, &usage, clean, nchunks, &mut rec)?
             }
         };
         rec.keys_loaded = index.len() as u64;
@@ -574,11 +484,168 @@ impl FlatStore {
         Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl, Some(rec))
     }
 
+    /// Path 3: rebuilds the volatile state from a full scan of every log,
+    /// on two passes of per-core lanes (DESIGN.md §4). Each scan lane reads
+    /// one log's entry headers — no owned values — and partitions
+    /// newest-wins records by owner core. Each owner lane then picks its
+    /// keys' winners, marks their blocks, fills its core's tombstones and
+    /// builds and loads its core's index. Each phase row reports its
+    /// slowest lane.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_logs(
+        mgr: &Arc<ChunkManager>,
+        cfg: &Config,
+        deleted: &DeletedTable,
+        usage: &UsageTable,
+        clean: bool,
+        nchunks: u32,
+        rec: &mut Recovery,
+    ) -> Result<(Vec<OpLog>, VolatileIndex), StoreError> {
+        // A record is `(key, log | position | version)`: the log and the
+        // entry's position in it above the 20-bit version. Sorting records
+        // puts each key's entries in one run, in the order a sequential
+        // scan of the logs in core order would visit them, and folding a
+        // run with `newer` picks the winner that scan would. The fold reads
+        // a header only for winners; a chunk's dead count is its entries
+        // minus its winners.
+        let ncores = cfg.ncores;
+        let ver_bits = VERSION_MASK.count_ones();
+        let pos_bits = 64 - ver_bits - LOG_BITS;
+        debug_assert!(ncores <= 1 << LOG_BITS);
+        let version = |r: u64| (r & u64::from(VERSION_MASK)) as u32;
+        let chunk_id = |a: PmAddr| ((a.offset() - POOL_BASE) / CHUNK_SIZE) as usize;
+
+        struct ScanLane {
+            log: OpLog,
+            headers: Vec<(EntryHeader, PmAddr)>,
+            /// Records by owner core.
+            records: Vec<Vec<(u64, u64)>>,
+            ns: u64,
+        }
+        let scans = on_threads(vec![(); ncores], |log, ()| {
+            let t = std::time::Instant::now();
+            let mut headers = Vec::new();
+            let mut records = vec![Vec::new(); ncores];
+            let base = (log as u64) << pos_bits;
+            let collect = |h: EntryHeader, a| {
+                let r = (base | headers.len() as u64) << ver_bits | u64::from(h.version);
+                records[core_of(h.key, ncores)].push((h.key, r));
+                headers.push((h, a));
+            };
+            let desc = Superblock::log_desc(log);
+            OpLog::recover_headers(Arc::clone(mgr), desc, None, collect).map(|log| ScanLane {
+                log,
+                headers,
+                records,
+                ns: elapsed_ns(t),
+            })
+        });
+        let mut logs = Vec::with_capacity(ncores);
+        let mut headers = Vec::with_capacity(ncores);
+        let mut by_owner: Vec<Vec<Vec<(u64, u64)>>> = vec![Vec::with_capacity(ncores); ncores];
+        for scan in scans {
+            let scan = scan?;
+            rec.scan_ns = rec.scan_ns.max(scan.ns);
+            rec.entries_scanned += scan.headers.len() as u64;
+            logs.push(scan.log);
+            headers.push(scan.headers);
+            for (owner, part) in scan.records.into_iter().enumerate() {
+                by_owner[owner].push(part);
+            }
+        }
+
+        struct OwnerLane {
+            shard: Option<indexes::Cceh>,
+            won_in: Vec<u32>,
+            stale: u64,
+            newest_wins_ns: u64,
+            build_ns: u64,
+            load_ns: u64,
+        }
+        let lanes = LaneIndex::new(cfg.index, cfg.dram_bytes)?;
+        let headers = &headers;
+        let owners = on_threads(by_owner, |core, parts| {
+            let t = std::time::Instant::now();
+            let mut records = parts.concat();
+            drop(parts);
+            records.sort_unstable();
+            let mut won_in = vec![0u32; nchunks as usize];
+            let mut pairs = Vec::new();
+            let mut stale = 0;
+            for run in records.chunk_by(|a, b| a.0 == b.0) {
+                let mut won = run[0].1;
+                for &(_, r) in &run[1..] {
+                    if newer(version(r), version(won)) {
+                        won = r;
+                    }
+                }
+                stale += run.len() as u64 - 1;
+                let pos = won >> ver_bits;
+                let (h, addr) =
+                    headers[(pos >> pos_bits) as usize][(pos & ((1 << pos_bits) - 1)) as usize];
+                won_in[chunk_id(addr)] += 1;
+                match h.op {
+                    LogOp::Put => {
+                        pairs.push((h.key, pack(h.version, addr)));
+                        if let (Some(block), false) = (h.block(), clean) {
+                            mgr.mark_allocated(block).map_err(|err| {
+                                StoreError::corrupt_with("recovery mark failed", err)
+                            })?;
+                        }
+                    }
+                    LogOp::Delete => deleted.insert(core, h.key, h.version, addr),
+                    LogOp::Seal => {}
+                }
+            }
+            drop(records);
+            let newest_wins_ns = elapsed_ns(t);
+
+            let t = std::time::Instant::now();
+            let mut lane = lanes.lane(pairs.len())?;
+            let build_ns = elapsed_ns(t);
+            let t = std::time::Instant::now();
+            lane.load(core, &mut pairs)?;
+            Ok::<_, StoreError>(OwnerLane {
+                shard: lane.into_shard(),
+                won_in,
+                stale,
+                newest_wins_ns,
+                build_ns,
+                load_ns: elapsed_ns(t),
+            })
+        });
+        let mut won_in = vec![0u32; nchunks as usize];
+        let mut shards = Vec::with_capacity(ncores);
+        for owner in owners {
+            let owner = owner?;
+            rec.stale_entries += owner.stale;
+            rec.newest_wins_ns = rec.newest_wins_ns.max(owner.newest_wins_ns);
+            rec.index_build_ns = rec.index_build_ns.max(owner.build_ns);
+            rec.index_load_ns = rec.index_load_ns.max(owner.load_ns);
+            for (sum, n) in won_in.iter_mut().zip(owner.won_in) {
+                *sum += n;
+            }
+            shards.push(owner.shard);
+        }
+
+        // Every block is marked: settle the chunks.
+        let t = std::time::Instant::now();
+        for (chunk, u) in logs.iter().flat_map(|log| log.usages()) {
+            usage.restore(chunk.offset(), u.total, u.total - won_in[chunk_id(chunk)]);
+        }
+        if !clean {
+            mgr.finish_recovery();
+        }
+        rec.newest_wins_ns += elapsed_ns(t);
+        Ok((logs, lanes.finish(shards)))
+    }
+
     /// Loads the snapshot anchored at `addr` into fresh volatile state,
     /// then frees its block and clears the anchor. The per-core key
-    /// counts are read first, so the index is built at the depth where
-    /// each core's keys bulk-load without a split; snapshot keys are
-    /// distinct by construction.
+    /// counts are read first; then each core's section loads on a lane of
+    /// its own (DESIGN.md §4), into an index built at the depth where that
+    /// core's keys bulk-load without a split. Snapshot keys are distinct by
+    /// construction.
     #[allow(clippy::too_many_arguments)]
     fn load_snapshot(
         pm: &PmRegion,
@@ -603,29 +670,29 @@ impl FlatStore {
         // Per core: n_idx, n_idx × (key, packed), n_del, n_del × (key,
         // version, tombstone address).
         let t = std::time::Instant::now();
-        let body = pos;
-        let mut most = 0;
+        let mut sections = Vec::with_capacity(ncores);
         for _ in 0..ncores {
+            sections.push(pos);
             let n_idx = read_u64(&mut pos);
-            most = most.max(n_idx as usize);
             pos += n_idx * 16;
             let n_del = read_u64(&mut pos);
             pos += n_del * 24;
         }
-        let index = VolatileIndex::build(cfg.index, ncores, cfg.dram_bytes, most)?;
-        rec.index_build_ns = elapsed_ns(t);
+        let lanes = LaneIndex::new(cfg.index, cfg.dram_bytes)?;
+        let count_ns = elapsed_ns(t);
 
-        let t = std::time::Instant::now();
-        let mut pos = body;
-        let mut pairs = Vec::with_capacity(most);
-        for core in 0..ncores {
-            let n_idx = read_u64(&mut pos);
-            pairs.clear();
+        let loaded = on_threads(sections, |core, mut pos| {
+            let t = std::time::Instant::now();
+            let n_idx = read_u64(&mut pos) as usize;
+            let mut lane = lanes.lane(n_idx)?;
+            let build_ns = elapsed_ns(t);
+            let t = std::time::Instant::now();
+            let mut pairs = Vec::with_capacity(n_idx);
             for _ in 0..n_idx {
                 let key = read_u64(&mut pos);
                 pairs.push((key, read_u64(&mut pos)));
             }
-            index.bulk_load(core, &mut pairs)?;
+            lane.load(core, &mut pairs)?;
             let n_del = read_u64(&mut pos);
             for _ in 0..n_del {
                 let key = read_u64(&mut pos);
@@ -633,7 +700,19 @@ impl FlatStore {
                 let taddr = PmAddr(read_u64(&mut pos));
                 deleted.insert(core_of(key, ncores), key, ver, taddr);
             }
+            Ok::<_, StoreError>((lane.into_shard(), build_ns, elapsed_ns(t)))
+        });
+        let mut shards = Vec::with_capacity(ncores);
+        let (mut build_ns, mut load_ns) = (0, 0);
+        for lane in loaded {
+            let (shard, build, load) = lane?;
+            build_ns = build_ns.max(build);
+            load_ns = load_ns.max(load);
+            shards.push(shard);
         }
+        rec.index_build_ns = count_ns + build_ns;
+
+        let t = std::time::Instant::now();
         let n_usage = read_u64(&mut pos);
         for _ in 0..n_usage {
             let chunk = read_u64(&mut pos);
@@ -641,11 +720,11 @@ impl FlatStore {
             let dead = read_u64(&mut pos) as u32;
             usage.restore(chunk, total, dead);
         }
-        rec.index_load_ns = elapsed_ns(t);
+        rec.index_load_ns = load_ns + elapsed_ns(t);
         // The snapshot block is consumed; free it and clear the anchor.
         let _ = mgr.free_block(addr);
         Superblock::new(pm).set_snapshot(PmAddr::NULL, 0);
-        Ok(index)
+        Ok(lanes.finish(shards))
     }
 
     /// Serializes the volatile state (index, tombstones, chunk-liveness

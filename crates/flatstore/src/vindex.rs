@@ -28,44 +28,15 @@ pub(crate) enum VolatileIndex {
 }
 
 impl VolatileIndex {
-    /// Builds the index for `kind` with a DRAM arena of `dram_bytes`
-    /// (per core for `Hash`), sized so that `core_keys` keys per core
-    /// bulk-load without a CCEH split (0: the smallest table, grown by
+    /// Builds an empty index for `kind` with a DRAM arena of `dram_bytes`
+    /// (per core for `Hash`), at the smallest CCEH depth (grown by
     /// splitting).
-    ///
-    /// The arenas are plain DRAM ([`PmRegion::dram_arena`]): committed on
-    /// first touch and free of the PM bookkeeping a volatile index never
-    /// reads. `Mode::Volatile` elides every flush.
-    pub fn build(
-        kind: IndexKind,
-        ncores: usize,
-        dram_bytes: usize,
-        core_keys: usize,
-    ) -> Result<Self, StoreError> {
-        let arena = || Arc::new(PmRegion::dram_arena(dram_bytes));
-        match kind {
-            IndexKind::Hash => {
-                let depth = Cceh::depth_for(core_keys, dram_bytes as u64).max(2);
-                let mut shards = Vec::with_capacity(ncores);
-                for _ in 0..ncores {
-                    shards.push(Mutex::new(Cceh::new(
-                        arena(),
-                        PmAddr(0),
-                        dram_bytes as u64,
-                        Mode::Volatile,
-                        depth,
-                    )?));
-                }
-                Ok(VolatileIndex::PerCoreHash(shards))
-            }
-            IndexKind::Masstree => Ok(VolatileIndex::SharedMasstree(Masstree::new())),
-            IndexKind::FastFair => Ok(VolatileIndex::SharedTree(Mutex::new(FastFair::new(
-                arena(),
-                PmAddr(0),
-                dram_bytes as u64,
-                Mode::Volatile,
-            )?))),
-        }
+    pub fn build(kind: IndexKind, ncores: usize, dram_bytes: usize) -> Result<Self, StoreError> {
+        let lanes = LaneIndex::new(kind, dram_bytes)?;
+        let shards = (0..ncores)
+            .map(|_| lanes.lane(0).map(Lane::into_shard))
+            .collect::<Result<_, _>>()?;
+        Ok(lanes.finish(shards))
     }
 
     pub fn insert(&self, core: usize, key: u64, value: u64) -> Result<Option<u64>, StoreError> {
@@ -78,7 +49,7 @@ impl VolatileIndex {
 
     /// Loads `core`'s `pairs` — distinct keys, none yet present — in one
     /// call ([`Index::bulk_load`]); Masstree takes them one at a time.
-    pub fn bulk_load(&self, core: usize, pairs: &mut [(u64, u64)]) -> Result<(), StoreError> {
+    fn bulk_load(&self, core: usize, pairs: &mut [(u64, u64)]) -> Result<(), StoreError> {
         match self {
             VolatileIndex::PerCoreHash(shards) => Ok(shards[core].lock().bulk_load(pairs)?),
             VolatileIndex::SharedMasstree(t) => {
@@ -167,6 +138,89 @@ impl VolatileIndex {
                     t.lock().for_each(f);
                 }
             }
+        }
+    }
+}
+
+/// The index recovery builds on per-core lanes (DESIGN.md §4). Under
+/// FlatStore-H each lane builds its own core's CCEH shard, at the depth
+/// where that core's keys bulk-load without a split, and loads it; under
+/// FlatStore-M and -FF every lane loads the one shared index.
+///
+/// The arenas are plain DRAM ([`PmRegion::dram_arena`]): committed on
+/// first touch and free of the PM bookkeeping a volatile index never
+/// reads. `Mode::Volatile` elides every flush.
+pub(crate) struct LaneIndex {
+    dram_bytes: usize,
+    /// The FlatStore-M/-FF index; `None` under FlatStore-H.
+    shared: Option<VolatileIndex>,
+}
+
+/// One lane's part of a [`LaneIndex`].
+pub(crate) enum Lane<'a> {
+    /// FlatStore-H: the lane's own core's shard.
+    Own(Cceh),
+    /// FlatStore-M and -FF: the index every lane loads.
+    Shared(&'a VolatileIndex),
+}
+
+impl LaneIndex {
+    pub fn new(kind: IndexKind, dram_bytes: usize) -> Result<Self, StoreError> {
+        let shared = match kind {
+            IndexKind::Hash => None,
+            IndexKind::Masstree => Some(VolatileIndex::SharedMasstree(Masstree::new())),
+            IndexKind::FastFair => Some(VolatileIndex::SharedTree(Mutex::new(FastFair::new(
+                Arc::new(PmRegion::dram_arena(dram_bytes)),
+                PmAddr(0),
+                dram_bytes as u64,
+                Mode::Volatile,
+            )?))),
+        };
+        Ok(LaneIndex { dram_bytes, shared })
+    }
+
+    /// A lane about to load `keys` keys: under FlatStore-H a fresh shard
+    /// sized for them.
+    pub fn lane(&self, keys: usize) -> Result<Lane<'_>, StoreError> {
+        if let Some(index) = &self.shared {
+            return Ok(Lane::Shared(index));
+        }
+        let depth = Cceh::depth_for(keys, self.dram_bytes as u64).max(2);
+        Ok(Lane::Own(Cceh::new(
+            Arc::new(PmRegion::dram_arena(self.dram_bytes)),
+            PmAddr(0),
+            self.dram_bytes as u64,
+            Mode::Volatile,
+            depth,
+        )?))
+    }
+
+    /// The finished index: the shared one, or the lanes' shards in core
+    /// order.
+    pub fn finish(self, shards: Vec<Option<Cceh>>) -> VolatileIndex {
+        match self.shared {
+            Some(index) => index,
+            None => {
+                VolatileIndex::PerCoreHash(shards.into_iter().flatten().map(Mutex::new).collect())
+            }
+        }
+    }
+}
+
+impl Lane<'_> {
+    /// Loads core `core`'s `pairs` — distinct keys, none yet present.
+    pub fn load(&mut self, core: usize, pairs: &mut [(u64, u64)]) -> Result<(), StoreError> {
+        match self {
+            Lane::Own(shard) => Ok(shard.bulk_load(pairs)?),
+            Lane::Shared(index) => index.bulk_load(core, pairs),
+        }
+    }
+
+    /// The lane's own shard, if it built one.
+    pub fn into_shard(self) -> Option<Cceh> {
+        match self {
+            Lane::Own(shard) => Some(shard),
+            Lane::Shared(_) => None,
         }
     }
 }

@@ -302,3 +302,137 @@ fn newest_wins_when_chain_order_is_not_version_order() {
     assert_eq!(store.len(), len);
     assert_eq!(store.free_chunks(), free);
 }
+
+/// Cross-log newest-wins on every index kind. Four cores, as two HB
+/// groups of 2 and as one group of 4, serve two pipelined sessions at
+/// depth 8. A leader appends its group members' entries to its own log,
+/// so one key's versions land in several logs, and recovery's owner lanes
+/// must pick each key's newest across them. Values are inline and out of
+/// log, with deletes among them. After a crash the store equals the
+/// model, and the per-chunk liveness counts and the free-chunk count equal
+/// the running engine's; a second crash changes nothing.
+#[test]
+fn cross_log_newest_wins_on_every_index() {
+    use flatstore::{IndexKind, Op, Reply, Session};
+
+    const CORES: usize = 4;
+    const CLIENTS: u64 = 2;
+    const KEYS: u64 = 64;
+
+    /// One round of client `t`'s script over its own keys (`key % CLIENTS
+    /// == t`), so the model's order per key is the session's submission
+    /// order.
+    fn drive(mut session: Session, t: u64, round: u64, mut model: Model) -> Model {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ t ^ round << 32;
+        let mut deletes = Vec::new();
+        for i in 0..1_000u64 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = (rng % (KEYS / CLIENTS)) * CLIENTS + t;
+            if rng >> 61 == 0 {
+                let existed = model.remove(&key).is_some();
+                deletes.push((session.submit(Op::Delete { key }).unwrap(), existed));
+            } else {
+                let len = [40, 200, 300, 600][(rng >> 40) as usize % 4];
+                let v = value_bytes(round << 24 | i << 8 | t, len);
+                session.submit(Op::put(key, &v)).unwrap();
+                model.insert(key, v);
+            }
+        }
+        for (ticket, reply) in session.wait_all().unwrap() {
+            if let Some(&(_, existed)) = deletes.iter().find(|d| d.0 == ticket) {
+                assert_eq!(reply, Reply::Delete(Ok(existed)));
+            } else {
+                assert_eq!(reply, Reply::Put(Ok(())));
+            }
+        }
+        model
+    }
+
+    for index in [IndexKind::Hash, IndexKind::Masstree, IndexKind::FastFair] {
+        for group in [2, CORES] {
+            let at = format!("{index:?}, groups of {group}");
+            let cfg = Config::builder()
+                .pm_bytes(128 << 20)
+                .dram_bytes(8 << 20)
+                .ncores(CORES)
+                .group_size(group)
+                .pipeline_depth(8)
+                .index(index)
+                .crash_tracking(true)
+                .build()
+                .expect("valid test config");
+            let store = FlatStore::create(cfg.clone()).unwrap();
+            // One never-overwritten out-of-log value per (core, size
+            // class): recovery frees a class chunk all of whose blocks
+            // died, the running engine does not, so the anchors keep
+            // `free_chunks` comparable.
+            let mut model = Model::new();
+            let mut anchor = 1_000u64;
+            for core in 0..CORES {
+                for len in [300usize, 600] {
+                    while core_of(anchor, CORES) != core {
+                        anchor += 1;
+                    }
+                    let v = value_bytes(anchor, len);
+                    store.put(anchor, &v).unwrap();
+                    model.insert(anchor, v);
+                    anchor += 1;
+                }
+            }
+            // Rounds until some key has entries in more than one log: how
+            // often a leader takes another core's posts is up to the
+            // scheduler, so a round can keep every key in one log.
+            let mut models = vec![Model::new(); CLIENTS as usize];
+            let mut cross_log = false;
+            for round in 0..20 {
+                if cross_log {
+                    break;
+                }
+                let clients: Vec<_> = models
+                    .drain(..)
+                    .enumerate()
+                    .map(|(t, m)| {
+                        let session = store.session().unwrap();
+                        std::thread::spawn(move || drive(session, t as u64, round, m))
+                    })
+                    .collect();
+                models = clients.into_iter().map(|c| c.join().unwrap()).collect();
+                store.barrier();
+                let mut logs_of: HashMap<u64, usize> = HashMap::new();
+                for core in 0..CORES {
+                    store
+                        .log_suffix(core, PmAddr::NULL, |e, _| {
+                            let first = *logs_of.entry(e.key).or_insert(core);
+                            cross_log |= first != core;
+                        })
+                        .unwrap();
+                }
+            }
+            assert!(cross_log, "{at}: every key stayed in one log");
+            model.extend(models.into_iter().flatten());
+            let usage = store.chunk_usage();
+            let free = store.free_chunks();
+
+            let check = |store: &FlatStore| {
+                assert_eq!(store.len(), model.len(), "{at}");
+                for k in 0..KEYS {
+                    assert_eq!(
+                        store.get(k).unwrap().as_ref(),
+                        model.get(&k),
+                        "{at}: key {k}"
+                    );
+                }
+                assert_eq!(store.chunk_usage(), usage, "{at}");
+                assert_eq!(store.free_chunks(), free, "{at}");
+            };
+            let store = crash_and_open(store, &cfg);
+            let r = store.stats_report();
+            assert_eq!(r.get("recovery", "path"), Some(&Value::U64(3)), "{at}");
+            check(&store);
+            let store = crash_and_open(store, &cfg);
+            check(&store);
+        }
+    }
+}

@@ -1,6 +1,32 @@
 //! Persistence-operation counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Stripes per [`PmStats`]: enough that the engine's cores, its clients
+/// and recovery's lanes rarely share one.
+const STRIPES: usize = 8;
+
+/// Hands each thread its stripe index, round robin.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe index, picked on its first counted operation.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// One stripe of counters, alone on its pair of cachelines (adjacent-line
+/// prefetch pulls lines in 128 B pairs).
+#[derive(Default)]
+#[repr(align(128))]
+struct Stripe {
+    writes: AtomicU64,
+    bytes_written: AtomicU64,
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
+    flushes: AtomicU64,
+    redundant_flushes: AtomicU64,
+    fences: AtomicU64,
+}
 
 /// Counters of every persistence-relevant operation performed on a
 /// [`PmRegion`](crate::PmRegion).
@@ -9,7 +35,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// KV store issues per operation; these counters let tests assert that, e.g.,
 /// a batched append of 16 log entries flushes 4 cachelines and not 16.
 ///
-/// All counters are monotonically increasing and safe to read concurrently.
+/// The counters are striped: each thread bumps the stripe it picked on its
+/// first counted operation, each stripe sits on a 128 B line pair of its
+/// own, and every read sums the stripes. Threads that count at once — the
+/// engine's cores, recovery's scan lanes — so never bounce one cacheline
+/// between them, and every count stays exact. All counters are
+/// monotonically increasing and safe to read concurrently: a snapshot never
+/// exceeds one taken after it.
 ///
 /// # Example
 ///
@@ -23,15 +55,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_eq!(s.flushes, 2); // 128 B spans two cachelines
 /// assert_eq!(s.fences, 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct PmStats {
-    writes: AtomicU64,
-    bytes_written: AtomicU64,
-    reads: AtomicU64,
-    bytes_read: AtomicU64,
-    flushes: AtomicU64,
-    redundant_flushes: AtomicU64,
-    fences: AtomicU64,
+    stripes: [Stripe; STRIPES],
+}
+
+impl std::fmt::Debug for PmStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.snapshot().fmt(f)
+    }
 }
 
 impl PmStats {
@@ -39,56 +71,73 @@ impl PmStats {
         Self::default()
     }
 
+    /// The calling thread's stripe.
+    #[inline]
+    fn mine(&self) -> &Stripe {
+        &self.stripes[STRIPE.with(|s| *s)]
+    }
+
+    /// `field` summed over the stripes.
+    fn sum(&self, field: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
     #[inline]
     pub(crate) fn record_write(&self, bytes: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        let s = self.mine();
+        s.writes.fetch_add(1, Ordering::Relaxed);
+        s.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_read(&self, bytes: u64) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        let s = self.mine();
+        s.reads.fetch_add(1, Ordering::Relaxed);
+        s.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_flush(&self, redundant: bool) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
+        let s = self.mine();
+        s.flushes.fetch_add(1, Ordering::Relaxed);
         if redundant {
-            self.redundant_flushes.fetch_add(1, Ordering::Relaxed);
+            s.redundant_flushes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     #[inline]
     pub(crate) fn record_fence(&self) {
-        self.fences.fetch_add(1, Ordering::Relaxed);
+        self.mine().fences.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of cacheline flush operations issued so far.
     pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
+        self.sum(|s| &s.flushes)
     }
 
     /// Number of fences issued so far.
     pub fn fences(&self) -> u64 {
-        self.fences.load(Ordering::Relaxed)
+        self.sum(|s| &s.fences)
     }
 
     /// Total bytes passed to `write`.
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
+        self.sum(|s| &s.bytes_written)
     }
 
     /// Takes a consistent-enough point-in-time copy of all counters.
     pub fn snapshot(&self) -> PmStatsSnapshot {
         PmStatsSnapshot {
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            redundant_flushes: self.redundant_flushes.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
+            writes: self.sum(|s| &s.writes),
+            bytes_written: self.sum(|s| &s.bytes_written),
+            reads: self.sum(|s| &s.reads),
+            bytes_read: self.sum(|s| &s.bytes_read),
+            flushes: self.sum(|s| &s.flushes),
+            redundant_flushes: self.sum(|s| &s.redundant_flushes),
+            fences: self.sum(|s| &s.fences),
         }
     }
 }
@@ -203,6 +252,79 @@ mod tests {
         assert_eq!(d.flushes, 1);
         assert_eq!(d.redundant_flushes, 1);
         assert_eq!(d.fences, 1);
+    }
+
+    /// Threads counting at once on one region land on several stripes;
+    /// the sums are the exact totals, and a snapshot taken mid-run never
+    /// exceeds a later one.
+    #[test]
+    fn striped_counts_sum_exactly() {
+        use crate::{PmAddr, PmRegion, CACHELINE};
+        use std::sync::atomic::AtomicBool;
+
+        fn fields(s: &PmStatsSnapshot) -> [u64; 7] {
+            [
+                s.writes,
+                s.bytes_written,
+                s.reads,
+                s.bytes_read,
+                s.flushes,
+                s.redundant_flushes,
+                s.fences,
+            ]
+        }
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 500;
+        let pm = PmRegion::new((THREADS * CACHELINE) as usize);
+        let before = pm.stats().snapshot();
+        let done = AtomicBool::new(false);
+        let last = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pm = &pm;
+                    s.spawn(move || {
+                        let line = PmAddr(t * CACHELINE);
+                        let mut buf = [0u8; 24];
+                        for i in 0..ROUNDS {
+                            pm.write(line, &[i as u8; 40]);
+                            pm.read(line, &mut buf);
+                            pm.flush(line, 1);
+                            pm.flush(line, 1); // redundant: the line is clean
+                            pm.fence();
+                        }
+                    })
+                })
+                .collect();
+            let observer = s.spawn(|| {
+                let mut last = before;
+                while !done.load(Ordering::Relaxed) {
+                    let now = pm.stats().snapshot();
+                    assert!(fields(&last).iter().zip(fields(&now)).all(|(a, b)| *a <= b));
+                    last = now;
+                }
+                last
+            });
+            for w in workers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            observer.join().unwrap()
+        });
+        let d = pm.stats().snapshot().delta(&before);
+        let n = THREADS * ROUNDS;
+        assert_eq!(d.writes, n);
+        assert_eq!(d.bytes_written, 40 * n);
+        assert_eq!(d.reads, n);
+        assert_eq!(d.bytes_read, 24 * n);
+        assert_eq!(d.flushes, 2 * n);
+        assert_eq!(d.redundant_flushes, n);
+        assert_eq!(d.fences, n);
+        assert_eq!(pm.stats().flushes() - before.flushes, 2 * n);
+        assert_eq!(pm.stats().fences() - before.fences, n);
+        assert_eq!(pm.stats().bytes_written() - before.bytes_written, 40 * n);
+        // The observer's last mid-run snapshot is no later than the end.
+        let end = pm.stats().snapshot();
+        assert!(fields(&last).iter().zip(fields(&end)).all(|(a, b)| *a <= b));
     }
 
     #[test]
