@@ -36,8 +36,8 @@ impl std::fmt::Debug for Backup {
 
 impl Backup {
     /// Formats a fresh backup image per `cfg` and starts its applier as
-    /// the fabric's single server core (the agent, so acks complete
-    /// directly without a delegation hop).
+    /// the fabric's single server core, which acks on its own response
+    /// rings.
     pub(crate) fn start(cfg: &Config, fabric: &ShipFabric) -> Result<Backup, StoreError> {
         let image = Arc::new(BackupImage::format(cfg)?);
         let stop = Arc::new(AtomicBool::new(false));

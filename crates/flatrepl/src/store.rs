@@ -63,8 +63,8 @@ impl ReplicatedStore {
                 "primary and backup must agree on ncores".into(),
             ));
         }
-        // One server core (the backup applier, which is then the agent and
-        // acks directly), one client port per primary core. Capacity bounds
+        // One server core (the backup applier, which acks on its own
+        // response rings), one client port per primary core. Capacity bounds
         // replication lag: a core more than `capacity` batches ahead of the
         // backup blocks in ship().
         let fabric: ShipFabric = ShipFabric::new(1, primary_cfg.ncores, 64);

@@ -1,27 +1,24 @@
 //! FlatRPC (paper §4.3) as a shared-memory fabric.
 //!
 //! The paper's RPC lets a client RDMA-write requests **directly into the
-//! message buffer of a specific server core** (chosen by keyhash) while all
-//! **responses are delegated to a single agent core** near the NIC — so a
-//! client needs one queue pair per server *node* instead of one per server
-//! *core*, shrinking the NIC's connection cache footprint from `Nt × Nc`
-//! to `Nc`.
-//!
-//! Without RDMA hardware, this crate reproduces the mechanism over shared
-//! memory with the same roles and data flow:
+//! message buffer of a specific server core** (chosen by keyhash), and
+//! delegates every response to a single agent core near the NIC, so a
+//! client needs one queue pair per server *node* instead of one per
+//! server *core*. That delegation exists only for the NIC's connection
+//! cache; shared memory has none, so this crate keeps the request side
+//! and answers each request from the core that served it:
 //!
 //! * [`ClientPort::send`] writes a request into the `(core, client)` SPSC
 //!   [`ring`](ring()) — the "message buffer" the paper pre-allocates per
 //!   core per client.
 //! * [`ServerCore::poll`] is the server core's user-level polling loop.
-//! * [`ServerCore::respond`] posts the response **verb**: core 0 — the
-//!   agent core, as in the paper a regular server core that happens to sit
-//!   next to the NIC — sends it directly; other cores delegate the
-//!   lightweight verb to it through a per-core delegation ring (paper
-//!   Fig. 6, steps 3.0/3.1).
-//! * [`ServerCore::pump_delegations`] is the agent half of core 0's loop:
-//!   it drains the delegation rings and completes the responses into the
-//!   per-client rings.
+//! * [`ServerCore::respond`] posts the response into the `(core, client)`
+//!   response ring, and [`ClientPort::try_recv`] polls the client's
+//!   response ring from every core.
+//!
+//! The agent core's cost survives only in the discrete-event simulator's
+//! network model (`simkv::NetParams`), which the paper's Figure 12
+//! reproduction runs.
 //!
 //! Clients can also join a live fabric: [`Fabric::attach_client`] grows the
 //! ring matrix by one client while the server cores keep polling; each core
@@ -44,8 +41,7 @@
 //!         break m;
 //!     }
 //! };
-//! cores[1].respond(from, req * 2);      // delegated verb
-//! while cores[0].pump_delegations() == 0 {} // the agent core completes it
+//! cores[1].respond(from, req * 2); // core 1 answers its own client
 //! assert_eq!(client.recv(), 14);
 //! ```
 
@@ -80,10 +76,10 @@ pub type ClientId = usize;
 
 /// A sequenced message: the fixed header every RPC payload travels under.
 ///
-/// FlatRPC responses are completed by the agent core, not the core that
-/// executed the request, and a pipelined client keeps many requests in
-/// flight — so the wire format needs a client-chosen sequence number to
-/// match completions back to submissions. `seq` is opaque to the fabric.
+/// A pipelined client keeps many requests in flight across several cores,
+/// and responses from different cores arrive in no fixed order — so the
+/// wire format needs a client-chosen sequence number to match completions
+/// back to submissions. `seq` is opaque to the fabric.
 ///
 /// A sampled request additionally carries its causal [`Span`] (`None`
 /// for the unsampled fast path — every stamping helper is one branch on
@@ -143,10 +139,8 @@ impl<T> Envelope<T> {
 pub struct FabricStats {
     /// Requests delivered to server cores (successful sends only).
     pub requests: AtomicU64,
-    /// Responses sent directly by the agent core.
-    pub direct_responses: AtomicU64,
-    /// Responses delegated from another core to the agent.
-    pub delegated_responses: AtomicU64,
+    /// Responses posted by server cores.
+    pub responses: AtomicU64,
     /// Client ports currently live (gauge): incremented when a port is
     /// taken ([`Fabric::client_port`]) or attached
     /// ([`Fabric::attach_client`], fresh or reused), decremented when a
@@ -169,39 +163,59 @@ impl FabricStats {
     }
 }
 
-/// `[core][client]` request-ring halves.
-type ReqProducers<Req> = Vec<Vec<Option<Producer<(ClientId, Req)>>>>;
-type ReqConsumers<Req> = Vec<Vec<Option<Consumer<(ClientId, Req)>>>>;
+/// The client's ends of one (core, client) connection.
+struct ClientEnds<Req, Resp> {
+    /// Requests into the core's message buffer.
+    tx: Producer<Req>,
+    /// Responses back from the core.
+    rx: Consumer<Resp>,
+}
 
+/// The server core's ends of one (core, client) connection.
+struct CoreEnds<Req, Resp> {
+    rx: Consumer<Req>,
+    tx: Producer<Resp>,
+}
+
+/// Builds one (core, client) connection: a request ring into the core
+/// and a response ring back out of it, each of `capacity` messages.
+fn connection<Req, Resp>(capacity: usize) -> (ClientEnds<Req, Resp>, CoreEnds<Req, Resp>) {
+    let (req_tx, req_rx) = ring(capacity);
+    let (resp_tx, resp_rx) = ring(capacity);
+    (
+        ClientEnds {
+            tx: req_tx,
+            rx: resp_rx,
+        },
+        CoreEnds {
+            rx: req_rx,
+            tx: resp_tx,
+        },
+    )
+}
+
+/// Endpoints wired at construction, waiting to be taken.
 struct Wiring<Req, Resp> {
-    nclients: usize,
-    /// `[core][client]` request rings.
-    req_prod: ReqProducers<Req>,
-    req_cons: ReqConsumers<Req>,
-    /// Per-core delegation rings into the agent (core 0).
-    del_prod: Vec<Option<Producer<(ClientId, Resp)>>>,
-    del_cons: Vec<Option<Consumer<(ClientId, Resp)>>>,
-    /// Per-client response rings out of the agent.
-    resp_prod: Vec<Option<Producer<Resp>>>,
-    resp_cons: Vec<Option<Consumer<Resp>>>,
+    /// `[core][client]` server ends, taken at once by
+    /// [`Fabric::server_cores`].
+    cores: Option<Vec<Vec<CoreEnds<Req, Resp>>>>,
+    /// `[client][core]` client ends, each taken by
+    /// [`Fabric::client_port`].
+    clients: Vec<Option<Vec<ClientEnds<Req, Resp>>>>,
 }
 
 /// Ring ends for one dynamically attached client, waiting to be claimed:
-/// each server core takes its request-ring consumer, the agent takes the
-/// response-ring producer.
+/// each server core takes its `[core]` entry.
 struct PendingClient<Req, Resp> {
-    req_cons: Vec<Option<Consumer<(ClientId, Req)>>>,
-    resp_prod: Option<Producer<Resp>>,
+    cores: Vec<Option<CoreEnds<Req, Resp>>>,
 }
 
 /// The client half of a detached port, parked for reuse: the server side
-/// (request-ring consumers, the agent's response producer) stays wired,
-/// so a later [`Fabric::attach_client`] can hand these ends back out
-/// under the same client id without growing the ring matrix.
+/// stays wired, so a later [`Fabric::attach_client`] can hand these ends
+/// back out under the same client id without growing the ring matrix.
 struct ParkedPort<Req, Resp> {
     id: ClientId,
-    to_core: Vec<Producer<(ClientId, Req)>>,
-    rx: Consumer<Resp>,
+    cores: Vec<ClientEnds<Req, Resp>>,
 }
 
 /// State shared between the fabric handle and every endpoint; carries the
@@ -235,50 +249,29 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
     /// Creates a fabric for `ncores` server cores and `nclients` clients
     /// with per-ring `capacity` (the paper's per-core message buffers).
     ///
-    /// Core 0 is the agent core (the paper picks one on the NIC's socket).
-    ///
     /// # Panics
     ///
     /// Panics on zero cores/clients/capacity.
     pub fn new(ncores: usize, nclients: usize, capacity: usize) -> Self {
         assert!(ncores > 0 && nclients > 0 && capacity > 0);
-        let stats = Arc::new(FabricStats::default());
-        let mut req_prod = Vec::with_capacity(ncores);
-        let mut req_cons = Vec::with_capacity(ncores);
-        for _ in 0..ncores {
-            let mut ps = Vec::with_capacity(nclients);
-            let mut cs = Vec::with_capacity(nclients);
-            for _ in 0..nclients {
-                let (p, c) = ring(capacity);
-                ps.push(Some(p));
-                cs.push(Some(c));
-            }
-            req_prod.push(ps);
-            req_cons.push(cs);
-        }
-        let mut del_prod = Vec::with_capacity(ncores);
-        let mut del_cons = Vec::with_capacity(ncores);
-        for _ in 0..ncores {
-            let (p, c) = ring(capacity * nclients.max(1));
-            del_prod.push(Some(p));
-            del_cons.push(Some(c));
-        }
-        let mut resp_prod = Vec::with_capacity(nclients);
-        let mut resp_cons = Vec::with_capacity(nclients);
-        for _ in 0..nclients {
-            let (p, c) = ring(capacity);
-            resp_prod.push(Some(p));
-            resp_cons.push(Some(c));
-        }
+        let mut cores: Vec<Vec<_>> = (0..ncores).map(|_| Vec::with_capacity(nclients)).collect();
+        let clients = (0..nclients)
+            .map(|_| {
+                let ends = cores
+                    .iter_mut()
+                    .map(|core| {
+                        let (client, server) = connection(capacity);
+                        core.push(server);
+                        client
+                    })
+                    .collect();
+                Some(ends)
+            })
+            .collect();
         Fabric {
             wiring: Mutex::new(Wiring {
-                nclients,
-                req_prod,
-                req_cons,
-                del_prod,
-                del_cons,
-                resp_prod,
-                resp_cons,
+                cores: Some(cores),
+                clients,
             }),
             shared: Arc::new(Shared {
                 ncores,
@@ -287,7 +280,7 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
                 grown: AtomicUsize::new(0),
                 growth: Mutex::new(Vec::new()),
                 parked: Mutex::new(Vec::new()),
-                stats,
+                stats: Arc::new(FabricStats::default()),
             }),
         }
     }
@@ -299,33 +292,14 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
     /// Panics if called twice.
     pub fn server_cores(&self) -> Vec<ServerCore<Req, Resp>> {
         let mut w = self.wiring.lock().expect("fabric lock");
-        let agent_state = AgentState {
-            delegations: w
-                .del_cons
-                .iter_mut()
-                .map(|c| c.take().expect("server cores already taken"))
-                .collect(),
-            responses: w
-                .resp_prod
-                .iter_mut()
-                .map(|p| p.take().expect("server cores already taken"))
-                .collect(),
-            claimed: 0,
-        };
-        let mut agent_state = Some(agent_state);
-        (0..self.shared.ncores)
-            .map(|core| ServerCore {
+        w.cores
+            .take()
+            .expect("server cores already taken")
+            .into_iter()
+            .enumerate()
+            .map(|(core, clients)| ServerCore {
                 core,
-                rx: w.req_cons[core]
-                    .iter_mut()
-                    .map(|c| c.take().expect("server cores already taken"))
-                    .collect(),
-                delegate: if core == 0 {
-                    None
-                } else {
-                    Some(w.del_prod[core].take().expect("server cores already taken"))
-                },
-                agent: if core == 0 { agent_state.take() } else { None },
+                clients,
                 next_client: 0,
                 claimed: 0,
                 shared: Arc::clone(&self.shared),
@@ -340,75 +314,48 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
     /// Panics if `id` is out of range or taken twice.
     pub fn client_port(&self, id: ClientId) -> ClientPort<Req, Resp> {
         let mut w = self.wiring.lock().expect("fabric lock");
-        assert!(id < w.nclients, "client id out of range");
-        self.shared
-            .stats
-            .clients_attached
-            .fetch_add(1, Ordering::Relaxed);
-        ClientPort {
-            id,
-            to_core: (0..self.shared.ncores)
-                .map(|core| {
-                    w.req_prod[core][id]
-                        .take()
-                        .expect("client port already taken")
-                })
-                .collect(),
-            rx: Some(w.resp_cons[id].take().expect("client port already taken")),
-            shared: Arc::clone(&self.shared),
-        }
+        assert!(id < w.clients.len(), "client id out of range");
+        let cores = w.clients[id].take().expect("client port already taken");
+        self.port(id, cores)
     }
 
     /// Attaches a new client to a live fabric and returns its port.
     ///
     /// A previously dropped port whose rings were fully drained is reused
     /// (same client id, same rings — the server side never noticed it was
-    /// gone); otherwise the new rings are published to a growth list and
-    /// each server core (and the agent) claims its ends lazily on its next
-    /// [`ServerCore::poll`] / [`ServerCore::respond`], so attachment never
-    /// blocks the data path. Requests sent before every core has synced
-    /// simply wait in the ring.
+    /// gone); otherwise the new connections are published to a growth
+    /// list and each server core claims its ends lazily on its next
+    /// [`ServerCore::poll`], so attachment never blocks the data path.
+    /// Requests sent before every core has synced simply wait in the ring.
     pub fn attach_client(&self) -> ClientPort<Req, Resp> {
         let shared = &self.shared;
         if let Some(parked) = shared.parked.lock().expect("fabric parked lock").pop() {
-            shared
-                .stats
-                .clients_attached
-                .fetch_add(1, Ordering::Relaxed);
-            return ClientPort {
-                id: parked.id,
-                to_core: parked.to_core,
-                rx: Some(parked.rx),
-                shared: Arc::clone(shared),
-            };
+            return self.port(parked.id, parked.cores);
         }
-        let mut to_core = Vec::with_capacity(shared.ncores);
-        let mut req_cons = Vec::with_capacity(shared.ncores);
-        for _ in 0..shared.ncores {
-            let (p, c) = ring(shared.capacity);
-            to_core.push(p);
-            req_cons.push(Some(c));
-        }
-        let (resp_p, resp_c) = ring(shared.capacity);
+        let (ends, cores): (Vec<_>, Vec<_>) = (0..shared.ncores)
+            .map(|_| connection(shared.capacity))
+            .unzip();
         let mut growth = shared.growth.lock().expect("fabric growth lock");
         let id = shared.base_clients + growth.len();
         growth.push(PendingClient {
-            req_cons,
-            resp_prod: Some(resp_p),
+            cores: cores.into_iter().map(Some).collect(),
         });
         // Publish while still holding the lock so `grown` stays monotonic
         // under concurrent attaches.
         shared.grown.store(growth.len(), Ordering::Release);
         drop(growth);
-        shared
+        self.port(id, ends)
+    }
+
+    fn port(&self, id: ClientId, cores: Vec<ClientEnds<Req, Resp>>) -> ClientPort<Req, Resp> {
+        self.shared
             .stats
             .clients_attached
             .fetch_add(1, Ordering::Relaxed);
         ClientPort {
             id,
-            to_core,
-            rx: Some(resp_c),
-            shared: Arc::clone(shared),
+            cores,
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -418,13 +365,12 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
     }
 }
 
-/// A client's connection: direct writes into any core's message buffer,
-/// responses funneled back through the agent.
+/// A client's connection: a request ring into every core's message
+/// buffer and a response ring back out of every core.
 pub struct ClientPort<Req, Resp> {
     id: ClientId,
-    to_core: Vec<Producer<(ClientId, Req)>>,
-    /// `Some` for the port's whole life; taken only inside `Drop`.
-    rx: Option<Consumer<Resp>>,
+    /// `[core]` connection ends.
+    cores: Vec<ClientEnds<Req, Resp>>,
     shared: Arc<Shared<Req, Resp>>,
 }
 
@@ -432,12 +378,6 @@ impl<Req, Resp> ClientPort<Req, Resp> {
     /// This port's client id.
     pub fn id(&self) -> ClientId {
         self.id
-    }
-
-    fn rx(&self) -> &Consumer<Resp> {
-        // SAFETY-INVARIANT: `rx` is only `None` after `Drop` has taken it,
-        // at which point no method can run.
-        self.rx.as_ref().expect("client port rx taken")
     }
 
     /// Writes `req` into `core`'s message buffer (non-blocking; an `Err`
@@ -448,13 +388,14 @@ impl<Req, Resp> ClientPort<Req, Resp> {
     /// Returns the request back when the ring is full.
     pub fn send(&self, core: usize, req: Req) -> Result<(), Req> {
         let stats = &self.shared.stats;
-        match self.to_core[core].push((self.id, req)) {
+        let tx = &self.cores[core].tx;
+        match tx.push(req) {
             Ok(()) => {
                 stats.requests.fetch_add(1, Ordering::Relaxed);
-                stats.note_occupancy(self.to_core[core].len() as u64);
+                stats.note_occupancy(tx.len() as u64);
                 Ok(())
             }
-            Err((_, r)) => {
+            Err(r) => {
                 stats.send_backpressure.fetch_add(1, Ordering::Relaxed);
                 Err(r)
             }
@@ -464,19 +405,21 @@ impl<Req, Resp> ClientPort<Req, Resp> {
     /// Messages currently queued in this port's request ring into `core`
     /// (approximate under concurrency).
     pub fn ring_occupancy(&self, core: usize) -> usize {
-        self.to_core[core].len()
+        self.cores[core].tx.len()
     }
 
-    /// Polls for one response.
+    /// Polls every core's response ring for one response. Responses from
+    /// one core arrive in the order that core posted them; responses
+    /// from different cores have no order between them.
     pub fn try_recv(&self) -> Option<Resp> {
-        self.rx().pop()
+        self.cores.iter().find_map(|c| c.rx.pop())
     }
 
     /// Blocks (polling) for one response.
     pub fn recv(&self) -> Resp {
         let mut spins = 0u32;
         loop {
-            if let Some(r) = self.rx().pop() {
+            if let Some(r) = self.try_recv() {
                 return r;
             }
             spins += 1;
@@ -495,97 +438,69 @@ impl<Req, Resp> Drop for ClientPort<Req, Resp> {
             .stats
             .clients_attached
             .fetch_sub(1, Ordering::Relaxed);
-        let Some(rx) = self.rx.take() else { return };
         // Park only a fully drained port: a request still in flight would
         // surface to the next owner as a stale response. A non-drained
         // port's rings are intentionally leaked to the fabric (the server
         // side keeps polling them; they just never see traffic again).
-        if self.to_core.iter().all(|p| p.is_empty()) && rx.is_empty() {
+        if self
+            .cores
+            .iter()
+            .all(|c| c.tx.is_empty() && c.rx.is_empty())
+        {
             self.shared
                 .parked
                 .lock()
                 .expect("fabric parked lock")
                 .push(ParkedPort {
                     id: self.id,
-                    to_core: std::mem::take(&mut self.to_core),
-                    rx,
+                    cores: std::mem::take(&mut self.cores),
                 });
         }
     }
 }
 
-/// The agent half of core 0's state: delegation inboxes from every core
-/// and the per-client response rings.
-struct AgentState<Resp> {
-    delegations: Vec<Consumer<(ClientId, Resp)>>,
-    responses: Vec<Producer<Resp>>,
-    /// Growth entries whose response producer this agent has claimed.
-    claimed: usize,
-}
-
-/// One server core's endpoint: poll requests, post responses. Core 0 is
-/// also the **agent core** and must call
-/// [`pump_delegations`](Self::pump_delegations) in its loop.
+/// One server core's endpoint: poll requests, post responses.
 pub struct ServerCore<Req, Resp> {
     core: usize,
-    rx: Vec<Consumer<(ClientId, Req)>>,
-    /// Non-agent cores delegate response verbs here.
-    delegate: Option<Producer<(ClientId, Resp)>>,
-    /// Core 0 only: the agent state.
-    agent: Option<AgentState<Resp>>,
+    /// `[client]` connection ends: `rx` polls the client's requests, `tx`
+    /// carries this core's responses back to it.
+    clients: Vec<CoreEnds<Req, Resp>>,
     next_client: usize,
-    /// Growth entries whose request consumer this core has claimed.
+    /// Growth entries whose connection this core has claimed.
     claimed: usize,
     shared: Arc<Shared<Req, Resp>>,
 }
 
 impl<Req, Resp> ServerCore<Req, Resp> {
-    /// This endpoint's core id (core 0 is the agent core).
+    /// This endpoint's core id.
     pub fn core(&self) -> usize {
         self.core
     }
 
-    /// Claims request rings of clients attached since the last sync.
+    /// Claims the connections of clients attached since the last sync.
     fn sync_clients(&mut self) {
         if self.shared.grown.load(Ordering::Acquire) == self.claimed {
             return;
         }
         let mut growth = self.shared.growth.lock().expect("fabric growth lock");
         while self.claimed < growth.len() {
-            let cons = growth[self.claimed].req_cons[self.core]
+            let ends = growth[self.claimed].cores[self.core]
                 .take()
-                .expect("request ring claimed once per core");
-            self.rx.push(cons);
+                .expect("connection claimed once per core");
+            self.clients.push(ends);
             self.claimed += 1;
-        }
-    }
-
-    /// Agent only: claims response rings of clients attached since the
-    /// last sync.
-    fn sync_responses(agent: &mut AgentState<Resp>, shared: &Shared<Req, Resp>) {
-        if shared.grown.load(Ordering::Acquire) == agent.claimed {
-            return;
-        }
-        let mut growth = shared.growth.lock().expect("fabric growth lock");
-        while agent.claimed < growth.len() {
-            let prod = growth[agent.claimed]
-                .resp_prod
-                .take()
-                .expect("response ring claimed once by the agent");
-            agent.responses.push(prod);
-            agent.claimed += 1;
         }
     }
 
     /// Polls the per-client message buffers round-robin.
     pub fn poll(&mut self) -> Option<(ClientId, Req)> {
         self.sync_clients();
-        let n = self.rx.len();
+        let n = self.clients.len();
         for _ in 0..n {
             let i = self.next_client;
             self.next_client = (self.next_client + 1) % n;
-            if let Some(m) = self.rx[i].pop() {
-                return Some(m);
+            if let Some(m) = self.clients[i].rx.pop() {
+                return Some((i, m));
             }
         }
         None
@@ -598,52 +513,15 @@ impl<Req, Resp> ServerCore<Req, Resp> {
     /// clients.
     pub fn has_pending_requests(&mut self) -> bool {
         self.sync_clients();
-        self.rx.iter().any(|c| !c.is_empty())
+        self.clients.iter().any(|c| !c.rx.is_empty())
     }
 
-    /// Posts the response verb: sent directly if this is the agent core,
-    /// otherwise delegated to the agent (paper Fig. 6 step 3.0).
+    /// Posts the response verb into `client`'s response ring from this
+    /// core, spinning while that ring is full. `client` must be an id
+    /// this core has polled a request from.
     pub fn respond(&mut self, client: ClientId, resp: Resp) {
-        match (&mut self.agent, &self.delegate) {
-            (Some(agent), _) => {
-                if client >= agent.responses.len() {
-                    Self::sync_responses(agent, &self.shared);
-                }
-                self.shared
-                    .stats
-                    .direct_responses
-                    .fetch_add(1, Ordering::Relaxed);
-                agent.responses[client].push_blocking(resp);
-            }
-            (_, Some(delegate)) => {
-                self.shared
-                    .stats
-                    .delegated_responses
-                    .fetch_add(1, Ordering::Relaxed);
-                delegate.push_blocking((client, resp));
-            }
-            _ => unreachable!("every core is agent or delegating"),
-        }
-    }
-
-    /// Core 0 only: drains every core's delegation ring once, completing
-    /// the responses into the client rings. Returns how many were
-    /// completed; always 0 on other cores.
-    pub fn pump_delegations(&mut self) -> usize {
-        let Some(agent) = &mut self.agent else {
-            return 0;
-        };
-        let mut n = 0;
-        for i in 0..agent.delegations.len() {
-            while let Some((client, resp)) = agent.delegations[i].pop() {
-                if client >= agent.responses.len() {
-                    Self::sync_responses(agent, &self.shared);
-                }
-                agent.responses[client].push_blocking(resp);
-                n += 1;
-            }
-        }
-        n
+        self.shared.stats.responses.fetch_add(1, Ordering::Relaxed);
+        self.clients[client].tx.push_blocking(resp);
     }
 }
 
@@ -666,7 +544,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_response_through_agent() {
+    fn request_response_across_cores() {
         let fabric = Fabric::<u64, u64>::new(3, 2, 16);
         let mut cores = fabric.server_cores();
         let c0 = fabric.client_port(0);
@@ -674,36 +552,39 @@ mod tests {
 
         c0.send(2, 100).unwrap();
         c1.send(1, 200).unwrap();
-        // Core 2 and core 1 poll and respond (delegated).
         let (from, req) = cores[2].poll().unwrap();
         assert_eq!((from, req), (0, 100));
         cores[2].respond(from, req + 1);
         let (from, req) = cores[1].poll().unwrap();
         assert_eq!((from, req), (1, 200));
         cores[1].respond(from, req + 1);
-        assert_eq!(c0.try_recv(), None, "not delivered until the agent pumps");
-        assert_eq!(cores[0].pump_delegations(), 2);
-        assert_eq!(cores[1].pump_delegations(), 0, "only core 0 is the agent");
         assert_eq!(c0.try_recv(), Some(101));
         assert_eq!(c1.try_recv(), Some(201));
+        assert_eq!(c0.try_recv(), None);
 
         let stats = fabric.stats();
         assert_eq!(stats.requests.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.delegated_responses.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.direct_responses.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.responses.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn agent_core_responds_directly() {
-        let fabric = Fabric::<u8, u8>::new(1, 1, 4);
+    fn each_core_answers_its_own_clients() {
+        let fabric = Fabric::<u8, u8>::new(2, 1, 4);
         let mut cores = fabric.server_cores();
         let client = fabric.client_port(0);
-        client.send(0, 9).unwrap();
+
+        // Core 1 answers while core 0 is never polled.
+        client.send(1, 9).unwrap();
+        let (from, req) = cores[1].poll().unwrap();
+        cores[1].respond(from, req * 2);
+        assert_eq!(client.try_recv(), Some(18), "core 1 needs no other core");
+
+        // Core 0 answers the same way while core 1 sits idle.
+        client.send(0, 5).unwrap();
         let (from, req) = cores[0].poll().unwrap();
         cores[0].respond(from, req * 2);
-        // Direct path: no pump needed.
-        assert_eq!(client.try_recv(), Some(18));
-        assert_eq!(fabric.stats().direct_responses.load(Ordering::Relaxed), 1);
+        assert_eq!(client.try_recv(), Some(10));
+        assert_eq!(client.try_recv(), None);
     }
 
     #[test]
@@ -780,7 +661,7 @@ mod tests {
         late.send(1, 50).unwrap();
         base.send(1, 40).unwrap();
 
-        // Core 1 sees both clients; responses are delegated through core 0.
+        // Core 1 sees both clients and answers both.
         let mut got = Vec::new();
         while got.len() < 2 {
             if let Some((from, req)) = cores[1].poll() {
@@ -790,11 +671,10 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, vec![(0, 40), (1, 50)]);
-        while cores[0].pump_delegations() == 0 {}
         assert_eq!(base.recv(), 41);
         assert_eq!(late.recv(), 51);
 
-        // Another attach: the agent core answers it directly.
+        // Another attach, answered by core 0.
         let later = fabric.attach_client();
         assert_eq!(later.id(), 2);
         later.send(0, 7).unwrap();
@@ -811,7 +691,7 @@ mod tests {
 
     #[test]
     fn dropped_port_is_parked_and_reused() {
-        let fabric = Fabric::<u64, u64>::new(1, 1, 8);
+        let fabric = Fabric::<u64, u64>::new(2, 1, 8);
         let mut cores = fabric.server_cores();
         let gauge = || fabric.stats().clients_attached.load(Ordering::Relaxed);
 
@@ -856,6 +736,26 @@ mod tests {
         }
         assert_eq!(gauge(), 0);
         assert_eq!(fabric.shared.grown.load(Ordering::Acquire), grown_before);
+
+        // A port whose only unharvested response sits in core 1's ring is
+        // not drained: parking it would hand that response to the next
+        // owner, so the next attach grows the fabric instead.
+        let third = fabric.attach_client();
+        assert_eq!(third.id(), first_id);
+        third.send(1, 30).unwrap();
+        let (from, req) = loop {
+            if let Some(m) = cores[1].poll() {
+                break m;
+            }
+        };
+        cores[1].respond(from, req + 1);
+        drop(third);
+        let fourth = fabric.attach_client();
+        assert_ne!(fourth.id(), first_id, "undrained port was parked");
+        assert_eq!(
+            fabric.shared.grown.load(Ordering::Acquire),
+            grown_before + 1
+        );
     }
 
     #[test]
@@ -883,12 +783,9 @@ mod tests {
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let mut idle = core.pump_delegations() == 0;
                     if let Some((client, req)) = core.poll() {
                         core.respond(client, req.wrapping_mul(3));
-                        idle = false;
-                    }
-                    if idle {
+                    } else {
                         // One host core runs all these threads; yield so
                         // clients make progress.
                         std::thread::yield_now();
@@ -930,6 +827,10 @@ mod tests {
         let stats = fabric.stats();
         assert_eq!(
             stats.requests.load(Ordering::Relaxed),
+            nclients as u64 * per_client
+        );
+        assert_eq!(
+            stats.responses.load(Ordering::Relaxed),
             nclients as u64 * per_client
         );
     }

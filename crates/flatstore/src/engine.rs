@@ -1,7 +1,7 @@
 //! The FlatStore engine: worker lifecycle, the FlatRPC fabric, recovery
 //! and shutdown.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -808,13 +808,13 @@ impl FlatStore {
             .collect();
 
         // Ring capacity covers a full pipeline plus one control message
-        // per core, so the agent can always complete a response without
-        // waiting on a client that is still submitting.
+        // per core; a (core, client) response ring holds at most that
+        // client's in-flight ops to that core, so a core never blocks
+        // pushing a response to a client that is still submitting.
         let capacity = cfg.pipeline_depth + ncores + 4;
         let fabric = Arc::new(StoreFabric::new(ncores, 1, capacity));
         let mut cores = fabric.server_cores();
         let control_port = fabric.client_port(0);
-        let exited = Arc::new(AtomicUsize::new(0));
         let flight = FlightRegistry::new(ncores);
         {
             // The crash dump's stats_report closure captures only Arc'd
@@ -869,7 +869,6 @@ impl FlatStore {
                 cfg.gc,
                 Arc::clone(&stats),
                 server,
-                Arc::clone(&exited),
                 repl.clone(),
                 cache.clone(),
                 Arc::clone(&flight),
@@ -1002,8 +1001,7 @@ impl FlatStore {
             let fs = fabric.stats();
             r.section("fabric")
                 .row("requests", fs.requests.load(Relaxed))
-                .row("direct_responses", fs.direct_responses.load(Relaxed))
-                .row("delegated_responses", fs.delegated_responses.load(Relaxed))
+                .row("responses", fs.responses.load(Relaxed))
                 .row("clients_attached", fs.clients_attached.load(Relaxed))
                 .row("send_backpressure", fs.send_backpressure.load(Relaxed))
                 .row("peak_ring_occupancy", fs.peak_ring_occupancy.load(Relaxed));

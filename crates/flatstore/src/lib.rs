@@ -21,7 +21,8 @@
 //!   ([`IndexKind::Masstree`], FlatStore-M) or a volatile FAST&FAIR
 //!   ([`IndexKind::FastFair`], FlatStore-FF).
 //! * **FlatRPC fabric** ([`flatrpc`]) — per-core per-client shared-memory
-//!   request rings; every response completes through the agent core (§4.3).
+//!   request rings (§4.3); each core answers on its own per-client
+//!   response ring, with no agent-core hop.
 //! * **Pipelined horizontal batching** — the paper's execution model
 //!   (Figure 4d) and the only one the threaded engine runs; the Figure 4
 //!   ablation stages live in the `simkv` discrete-event model.

@@ -1,8 +1,8 @@
 //! Pipelined client sessions over the FlatRPC fabric.
 //!
 //! A [`Session`] is the paper's client view of FlatRPC: it owns a
-//! `ClientPort` (one request ring into every server core plus one
-//! response ring out of the agent core) and keeps up to
+//! `ClientPort` (one request ring into and one response ring out of
+//! every server core) and keeps up to
 //! `pipeline_depth` operations in flight. Submitting returns a
 //! [`Ticket`] immediately; completions are harvested out of order with
 //! [`Session::poll_completions`] or awaited with [`Session::wait`].
@@ -272,7 +272,7 @@ impl Session {
                 Err(back) => env = back,
             }
             // Ring full: the core is behind — drain our completions so the
-            // agent can make progress, then retry.
+            // cores can push their responses, then retry.
             if self.absorb() {
                 backoff.reset();
             } else {
@@ -436,8 +436,8 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // Drain in-flight work so the agent never blocks pushing into a
-        // ring nobody reads. If the engine already stopped, the rings are
+        // Drain in-flight work so no core blocks pushing into a ring
+        // nobody reads. If the engine already stopped, the rings are
         // dead and there is nothing to wait for.
         let mut backoff = Backoff::new();
         while (!self.inflight.is_empty() || !self.pending_control.is_empty()) && !self.stopped() {

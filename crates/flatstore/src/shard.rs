@@ -4,12 +4,11 @@
 //!
 //! Workers poll their per-core FlatRPC request rings (paper §4.3) instead
 //! of blocking on a channel: requests arrive as [`FabReq`] envelopes from
-//! any attached client, responses leave as [`FabResp`] envelopes — sent
-//! directly by core 0 (the agent core) and delegated through it by every
-//! other core.
+//! any attached client, and each core sends its [`FabResp`] envelopes
+//! straight back on its own response ring to that client.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,9 +89,6 @@ pub(crate) struct Shard {
     gc: GcConfig,
     stats: Arc<EngineStats>,
     server: StoreServerCore,
-    /// Count of non-agent cores that finished draining; core 0 exits last,
-    /// after pumping their final delegated responses.
-    exited: Arc<AtomicUsize>,
     /// Log-shipping sink: each batch this core leads is shipped as one
     /// message after its local persist, and a completion is withheld from
     /// the client until the sink's acked watermark covers it.
@@ -144,7 +140,6 @@ impl Shard {
         gc: GcConfig,
         stats: Arc<EngineStats>,
         server: StoreServerCore,
-        exited: Arc<AtomicUsize>,
         repl: Option<Arc<dyn ReplicationSink>>,
         cache: Option<Arc<ReadCache>>,
         flight: Arc<FlightRegistry>,
@@ -168,7 +163,6 @@ impl Shard {
             gc,
             stats,
             server,
-            exited,
             repl,
             cache,
             flight,
@@ -190,8 +184,7 @@ impl Shard {
     pub fn run(mut self) -> Shard {
         let mut idle = 0u32;
         loop {
-            let mut did = self.server.pump_delegations() > 0;
-            did |= self.drain_rings();
+            let mut did = self.drain_rings();
             did |= self.retry_deferred();
             self.publish_staged();
             did |= self.lead();
@@ -204,18 +197,7 @@ impl Shard {
                 && self.barriers.is_empty()
                 && !self.server.has_pending_requests()
             {
-                if self.core != 0 {
-                    // A core's last delegated response is pushed before
-                    // this increment; the agent observes the count, then
-                    // drains.
-                    self.exited.fetch_add(1, Ordering::Release);
-                    break;
-                }
-                if self.exited.load(Ordering::Acquire) == self.ncores - 1
-                    && self.server.pump_delegations() == 0
-                {
-                    break;
-                }
+                break;
             }
 
             if did {

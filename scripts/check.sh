@@ -56,6 +56,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== session smoke: pipelined sessions fill HB batches =="
 cargo run --release --offline --example session_pipeline
 
+echo "== fabric smoke: standalone FlatRPC echo over 3 cores =="
+cargo run --release --offline --example flatrpc_echo
+
 echo "== replication smoke: failover, promotion, catch-up =="
 cargo run --release --offline --example replicated_failover
 
