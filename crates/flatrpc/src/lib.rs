@@ -50,6 +50,7 @@ mod ring;
 pub use ring::{ring, Consumer, Producer};
 
 use obs::span::{Span, SpanCtx, Stage};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -321,11 +322,12 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
 
     /// Attaches a new client to a live fabric and returns its port.
     ///
-    /// A previously dropped port whose rings were fully drained is reused
-    /// (same client id, same rings — the server side never noticed it was
-    /// gone); otherwise the new connections are published to a growth
-    /// list and each server core claims its ends lazily on its next
-    /// [`ServerCore::poll`], so attachment never blocks the data path.
+    /// A previously dropped port that had received a response to every
+    /// request it sent is reused (same client id, same rings — the server
+    /// side never noticed it was gone); otherwise the new connections are
+    /// published to a growth list and each server core claims its ends
+    /// lazily on its next [`ServerCore::poll`], so attachment never blocks
+    /// the data path.
     /// Requests sent before every core has synced simply wait in the ring.
     pub fn attach_client(&self) -> ClientPort<Req, Resp> {
         let shared = &self.shared;
@@ -355,6 +357,8 @@ impl<Req: Send, Resp: Send> Fabric<Req, Resp> {
         ClientPort {
             id,
             cores,
+            sent: Cell::new(0),
+            received: Cell::new(0),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -371,6 +375,10 @@ pub struct ClientPort<Req, Resp> {
     id: ClientId,
     /// `[core]` connection ends.
     cores: Vec<ClientEnds<Req, Resp>>,
+    /// Requests sent, and responses received, through this port: `Drop`
+    /// parks it only when the two match.
+    sent: Cell<u64>,
+    received: Cell<u64>,
     shared: Arc<Shared<Req, Resp>>,
 }
 
@@ -391,6 +399,7 @@ impl<Req, Resp> ClientPort<Req, Resp> {
         let tx = &self.cores[core].tx;
         match tx.push(req) {
             Ok(()) => {
+                self.sent.set(self.sent.get() + 1);
                 stats.requests.fetch_add(1, Ordering::Relaxed);
                 stats.note_occupancy(tx.len() as u64);
                 Ok(())
@@ -412,7 +421,9 @@ impl<Req, Resp> ClientPort<Req, Resp> {
     /// one core arrive in the order that core posted them; responses
     /// from different cores have no order between them.
     pub fn try_recv(&self) -> Option<Resp> {
-        self.cores.iter().find_map(|c| c.rx.pop())
+        let resp = self.cores.iter().find_map(|c| c.rx.pop())?;
+        self.received.set(self.received.get() + 1);
+        Some(resp)
     }
 
     /// Blocks (polling) for one response.
@@ -438,14 +449,16 @@ impl<Req, Resp> Drop for ClientPort<Req, Resp> {
             .stats
             .clients_attached
             .fetch_sub(1, Ordering::Relaxed);
-        // Park only a fully drained port: a request still in flight would
+        // Park only a fully drained port: a request still in flight — in
+        // a ring, or popped by a core that has not answered it yet — would
         // surface to the next owner as a stale response. A non-drained
         // port's rings are intentionally leaked to the fabric (the server
         // side keeps polling them; they just never see traffic again).
-        if self
-            .cores
-            .iter()
-            .all(|c| c.tx.is_empty() && c.rx.is_empty())
+        if self.sent.get() == self.received.get()
+            && self
+                .cores
+                .iter()
+                .all(|c| c.tx.is_empty() && c.rx.is_empty())
         {
             self.shared
                 .parked
@@ -756,6 +769,29 @@ mod tests {
             fabric.shared.grown.load(Ordering::Acquire),
             grown_before + 1
         );
+    }
+
+    #[test]
+    fn port_with_a_popped_unanswered_request_is_not_reused() {
+        let fabric = Fabric::<u64, u64>::new(1, 1, 8);
+        let mut cores = fabric.server_cores();
+        let first = fabric.attach_client();
+        first.send(0, 5).unwrap();
+        // The core holds the request: every ring of the port is empty.
+        let (from, req) = loop {
+            if let Some(m) = cores[0].poll() {
+                break m;
+            }
+        };
+        drop(first);
+        let second = fabric.attach_client();
+        cores[0].respond(from, req + 1);
+        assert_eq!(
+            second.try_recv(),
+            None,
+            "stale response reached a new owner"
+        );
+        assert_ne!(second.id(), from);
     }
 
     #[test]

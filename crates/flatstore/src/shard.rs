@@ -14,7 +14,9 @@ use std::time::Duration;
 
 use flatrpc::{clock, ClientId, Envelope};
 use obs::{Event, FlightRecord, Span, Stage};
-use oplog::{newer, ChunkUsage, LogEntry, LogOp, OpLog, Payload, INLINE_MAX, VERSION_MASK};
+use oplog::{
+    newer, ChunkUsage, LogEntry, LogError, LogOp, OpLog, Payload, INLINE_MAX, VERSION_MASK,
+};
 use pmalloc::{ChunkManager, CoreAllocator};
 use pmem::{PmAddr, PmRegion};
 
@@ -1041,7 +1043,15 @@ impl Shard {
             }
         }) {
             Ok(r) => r,
-            Err(_) => return, // no relocation chunk free; retry later
+            Err(LogError::OutOfSpace) => return, // no relocation chunk free; retry later
+            Err(_) => {
+                // A media error in the victim (an entry fails its CRC-8):
+                // its bytes cannot be relocated, so the chunk stays as it
+                // is and is never picked again, rather than retried
+                // before every other victim forever.
+                self.usage.restore(victim.offset(), 0, 0);
+                return;
+            }
         };
 
         let target = relocs

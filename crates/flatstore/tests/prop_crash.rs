@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use flatstore::{core_of, Config, FlatStore};
 use obs::Value;
+use oplog::LogError;
 use pmem::{PmAddr, PmRegion};
 use proptest::prelude::*;
 use workloads::value_bytes;
@@ -153,12 +154,14 @@ proptest! {
     }
 }
 
-/// A torn entry below the persisted tail (strict fences: a flushed line
-/// that lost the race with the power failure) is truncated by the
-/// header-only scan exactly as by the full decode: the entry is not
-/// replayed, the tail is pulled back to it, and the log keeps working.
+/// A value byte flipped below the persisted tail after its batch was
+/// persisted (a media error, not a torn write: strict fences drop only
+/// unfenced lines, and the batch was fenced before the tail covered it).
+/// The header-only scan keeps the tail and every key; the Get of the
+/// flipped entry and `log_suffix`, which verify the CRC, report the flip
+/// and never return wrong bytes; and the log keeps working.
 #[test]
-fn torn_tail_entry_truncates_under_strict_fences() {
+fn media_flip_below_tail_is_reported_on_read_under_strict_fences() {
     for seed in 0..4u64 {
         let cfg = Config::builder()
             .pm_bytes(64 << 20)
@@ -182,32 +185,90 @@ fn torn_tail_entry_truncates_under_strict_fences() {
         store
             .log_suffix(0, PmAddr::NULL, |e, addr| last = Some((e.key, addr)))
             .unwrap();
-        let (torn_key, torn_at) = last.expect("core 0 led at least one batch");
+        let (flipped_key, flipped_at) = last.expect("core 0 led at least one batch");
 
         let pm = store.kill();
-        // Tear it in place: one value byte flipped and made durable.
-        let b = pm.read_u8(torn_at + 13);
-        pm.write_u8(torn_at + 13, b ^ 0x40);
-        pm.persist(torn_at + 13, 1);
+        // One value byte flipped and made durable.
+        let b = pm.read_u8(flipped_at + 13);
+        pm.write_u8(flipped_at + 13, b ^ 0x40);
+        pm.persist(flipped_at + 13, 1);
         pm.simulate_crash();
 
         let store = FlatStore::open(pm, cfg.clone()).unwrap();
-        assert_eq!(store.len() as u64, keys - 1, "seed {seed}");
-        for k in 0..keys {
-            let expect = (k != torn_key).then(|| value_bytes(k ^ seed, 40));
-            assert_eq!(store.get(k).unwrap(), expect, "seed {seed} key {k}");
+        assert_eq!(store.len() as u64, keys, "seed {seed}");
+        for k in (0..keys).filter(|&k| k != flipped_key) {
+            let expect = value_bytes(k ^ seed, 40);
+            assert_eq!(store.get(k).unwrap(), Some(expect), "seed {seed} key {k}");
         }
-        let tail = store.log_suffix(0, PmAddr::NULL, |_, _| {}).unwrap();
-        assert_eq!(tail, torn_at, "seed {seed}: tail not pulled back");
+        assert!(store.get(flipped_key).is_err(), "seed {seed}: wrong bytes");
+        let err = store.log_suffix(0, PmAddr::NULL, |_, _| {}).unwrap_err();
+        let cause = std::error::Error::source(&err).and_then(|c| c.downcast_ref::<LogError>());
+        assert_eq!(
+            cause,
+            Some(&LogError::ChecksumMismatch {
+                addr: flipped_at.offset()
+            }),
+            "seed {seed}"
+        );
 
-        // Appends overwrite the garbage, and survive the next crash.
-        store.put(torn_key, b"rewritten").unwrap();
+        // A rewrite supersedes the flipped entry, and survives the next
+        // crash.
+        store.put(flipped_key, b"rewritten").unwrap();
         let store = crash_and_open(store, &cfg);
         assert_eq!(store.len() as u64, keys);
         assert_eq!(
-            store.get(torn_key).unwrap().as_deref(),
+            store.get(flipped_key).unwrap().as_deref(),
             Some(&b"rewritten"[..])
         );
+    }
+}
+
+/// A media flip in a chunk whose entries are all dead does not stop the
+/// cleaner. Recovery replays the chunk, so it is the least-live victim,
+/// but its entry fails the cleaner's CRC: the cleaner must leave it and
+/// clean the others, or it retries that one victim forever and the pool
+/// runs out.
+#[test]
+fn media_flip_in_a_dead_chunk_does_not_stop_the_cleaner() {
+    let mut cfg = Config::builder()
+        .pm_bytes(28 << 20)
+        .dram_bytes(8 << 20)
+        .ncores(1)
+        .group_size(1)
+        .crash_tracking(true)
+        .build()
+        .expect("valid test config");
+    cfg.gc.min_free_chunks = 3;
+    let store = FlatStore::create(cfg.clone()).unwrap();
+    // 400 hot keys: every entry but the newest per key is dead.
+    let mut serial = 0u64;
+    let mut put = |store: &FlatStore| {
+        serial += 1;
+        store.put(serial % 400, value_bytes(serial, 200))
+    };
+    while store.chunk_usage().len() < 3 {
+        put(&store).unwrap();
+    }
+    store.barrier();
+    let mut head = None;
+    store
+        .log_suffix(0, PmAddr::NULL, |_, addr| {
+            head.get_or_insert(addr);
+        })
+        .unwrap();
+    let pm = store.kill();
+    let at = head.expect("the log holds entries") + 20;
+    let b = pm.read_u8(at);
+    pm.write_u8(at, b ^ 0x40);
+    pm.persist(at, 1);
+    pm.simulate_crash();
+
+    let store = FlatStore::open(pm, cfg).unwrap();
+    // Twice what the pool holds without cleaning.
+    for i in 0..100_000 {
+        if let Err(e) = put(&store) {
+            panic!("put {i} after the flip: {e}");
+        }
     }
 }
 

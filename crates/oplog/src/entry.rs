@@ -25,9 +25,9 @@
 //!   Values larger than [`INLINE_MAX`] bytes (and empty values) are stored
 //!   out of the log.
 //! * `Crc` — CRC-8 (polynomial 0x07) over the whole encoded entry with the
-//!   checksum byte zeroed. Recovery and replication catch-up verify it
-//!   before replaying an entry, so a torn write (or a partially-shipped
-//!   batch on a backup) truncates the log instead of replaying garbage.
+//!   checksum byte zeroed. Recovery skips it (every byte below the
+//!   persisted tail was fenced before the tail moved); the read paths and
+//!   the cleaner verify it, so a media error is reported, never returned.
 
 use pmem::{PmAddr, PmRegion};
 
@@ -209,16 +209,17 @@ impl EntryHeader {
     ///
     /// # Errors
     ///
-    /// [`LogError::ChecksumMismatch`] on a torn entry, [`LogError::Corrupt`]
-    /// if the bytes do not decode.
+    /// [`LogError::ChecksumMismatch`] on an entry whose bytes changed
+    /// after they were persisted, [`LogError::Corrupt`] if the bytes do
+    /// not decode.
     pub fn decode(pm: &PmRegion, addr: PmAddr) -> Result<Option<EntryHeader>, LogError> {
         Self::decode_at(pm, addr, true)
     }
 
-    /// [`decode`](Self::decode) without the checksum, for an address that
-    /// is known to hold a validated entry — the volatile index only ever
-    /// references entries that were appended by this process or passed
-    /// recovery's CRC. Reads the 13–16 header bytes only.
+    /// [`decode`](Self::decode) without the checksum, for an address below
+    /// a log's persisted tail (recovery's scan, the volatile index). Reads
+    /// the op byte, then the rest of the header (13 B inline, 16 B
+    /// otherwise): padding costs one byte, and no value is read.
     ///
     /// # Errors
     ///
@@ -233,25 +234,27 @@ impl EntryHeader {
         verify: bool,
     ) -> Result<Option<EntryHeader>, LogError> {
         let mut raw = [0u8; INLINE_HEADER_LEN + INLINE_MAX];
-        // The shortest entry (13 B header + 1 B value) is longer than this
-        // first read, so it never leaves the entry.
-        pm.read(addr, &mut raw[..INLINE_HEADER_LEN]);
+        // The op byte alone first: a batch's padding costs one byte.
+        pm.read(addr, &mut raw[..1]);
         let b0 = raw[0];
         let Some(op) = LogOp::from_code(b0 & OP_MASK) else {
             return Ok(None); // padding
         };
         let inline = op == LogOp::Put && (b0 >> EMD_SHIFT) & 0b11 == 1;
-        let (len, crc_off) = if inline {
-            let size = raw[INLINE_SIZE_OFF as usize] as usize + 1;
-            (INLINE_HEADER_LEN + size, INLINE_CRC_OFF)
+        let (head, crc_off) = if inline {
+            (INLINE_HEADER_LEN, INLINE_CRC_OFF)
         } else {
             (PTR_ENTRY_LEN, PTR_CRC_OFF)
         };
-        if verify || !inline {
-            pm.read(
-                addr + INLINE_HEADER_LEN as u64,
-                &mut raw[INLINE_HEADER_LEN..len],
-            );
+        // Then the rest of the header: the whole entry unless it is inline.
+        pm.read(addr + 1, &mut raw[1..head]);
+        let len = if inline {
+            head + raw[INLINE_SIZE_OFF as usize] as usize + 1
+        } else {
+            head
+        };
+        if verify && inline {
+            pm.read(addr + head as u64, &mut raw[head..len]);
         }
         if verify && crc8(&raw[..len], crc_off) != raw[crc_off] {
             return Err(LogError::ChecksumMismatch {
@@ -424,7 +427,7 @@ impl LogEntry {
     /// # Errors
     ///
     /// [`LogError::ChecksumMismatch`] if the entry's CRC-8 does not match
-    /// (a torn write); [`LogError::Corrupt`] if the bytes do not decode.
+    /// (a media error); [`LogError::Corrupt`] if the bytes do not decode.
     pub fn decode(pm: &PmRegion, addr: PmAddr) -> Result<Option<(LogEntry, usize)>, LogError> {
         let b0 = pm.read_u8(addr);
         let Some(op) = LogOp::from_code(b0 & OP_MASK) else {

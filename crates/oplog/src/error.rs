@@ -26,11 +26,11 @@ pub enum LogError {
         /// Address of the corruption.
         addr: u64,
     },
-    /// An entry's CRC-8 did not match its bytes — a torn write (or a
-    /// partially-shipped replication batch). Recovery truncates the log
-    /// here instead of replaying the entry.
+    /// An entry's CRC-8 did not match its bytes: a media error after they
+    /// were persisted. The read paths and the cleaner report it; recovery's
+    /// header-only scan does not check the CRC.
     ChecksumMismatch {
-        /// Address of the torn entry.
+        /// Address of the entry.
         addr: u64,
     },
     /// The chunk allocator rejected an operation.
@@ -49,7 +49,7 @@ impl fmt::Display for LogError {
             }
             LogError::Corrupt { addr } => write!(f, "corrupt log entry at {addr:#x}"),
             LogError::ChecksumMismatch { addr } => {
-                write!(f, "log entry checksum mismatch (torn write) at {addr:#x}")
+                write!(f, "log entry checksum mismatch at {addr:#x}")
             }
             LogError::Alloc(e) => write!(f, "allocator error: {e}"),
         }

@@ -78,7 +78,7 @@ enum Step {
     Entry(u64),
     /// Batch padding up to the next cacheline.
     Padding,
-    /// A seal or a torn entry: nothing further in this chunk.
+    /// A seal: nothing further in this chunk.
     ChunkEnd,
 }
 
@@ -173,11 +173,12 @@ impl OpLog {
     }
 
     /// Rebuilds a log from its persistent descriptor, invoking `f` with the
-    /// [`EntryHeader`] and address of every surviving entry (in chain
-    /// order) — the recovery scan: one pass, nothing allocated per entry,
-    /// every entry's CRC-8 verified. The caller replays the headers into
-    /// the volatile index (newest version wins) and finds the per-chunk
-    /// entry counts in [`usages`](Self::usages) afterwards.
+    /// [`EntryHeader`] and address of every entry below the persisted tail
+    /// (in chain order) — the recovery scan: one pass, nothing allocated
+    /// per entry, only headers read ([`EntryHeader::decode_trusted`]: no
+    /// value, no CRC). The caller replays the headers into the volatile
+    /// index (newest version wins) and finds the per-chunk entry counts in
+    /// [`usages`](Self::usages) afterwards.
     ///
     /// With `from = Some(cursor)` (a tail address recorded while the log
     /// was quiescent — the engine passes a clean shutdown's persisted
@@ -186,10 +187,11 @@ impl OpLog {
     /// chunk are not scanned at all. Only sound while the chain has not
     /// been re-ordered by the cleaner since the cursor was taken.
     ///
-    /// An entry failing its CRC-8 (a torn write) is **truncated, not
-    /// replayed**: the scan stops there, and if the tear precedes the
-    /// persisted tail the tail is pulled back and re-persisted so later
-    /// appends overwrite the garbage.
+    /// Every byte below the persisted tail was fenced before the tail (or,
+    /// for a cleaner's target chunk, the head) moved over it — the order
+    /// pmcheck's unpersisted-at-commit rule checks — so a torn write lies
+    /// above the tail, where the walk never reads. A media error below it
+    /// is replayed; the Get of that entry and [`scan`](Self::scan) report it.
     ///
     /// The walk ends at the chunk holding the persisted tail. If that
     /// chunk still links a successor (a crash inside a chunk rollover), the
@@ -209,7 +211,6 @@ impl OpLog {
     ) -> Result<OpLog, LogError> {
         let pm = Arc::clone(mgr.pm());
         let chain = Self::walk_chain(&pm, desc)?;
-        let tail = chain.tail;
         if let Some(orphan) = chain.orphan {
             // A crash between `seal_and_extend`'s link and the tail persist:
             // the successor holds no acked entry (only, perhaps, a previous
@@ -229,35 +230,17 @@ impl OpLog {
             .max()
             .unwrap_or(0);
         let mut counts = vec![0u32; chain.chunks.len()];
-        let mut new_tail = tail;
-        Self::walk_entries(&chain.chunks, tail, from, |i, pos| {
-            match EntryHeader::decode(&pm, pos) {
-                Ok(None) => Ok(Step::Padding),
-                Ok(Some(h)) if h.op == LogOp::Seal => Ok(Step::ChunkEnd),
-                Ok(Some(h)) => {
+        Self::walk_entries(&chain.chunks, chain.tail, from, |i, pos| {
+            Ok(match EntryHeader::decode_trusted(&pm, pos)? {
+                None => Step::Padding,
+                Some(h) if h.op == LogOp::Seal => Step::ChunkEnd,
+                Some(h) => {
                     counts[i] += 1;
                     f(h, pos);
-                    Ok(Step::Entry(h.encoded_len() as u64))
+                    Step::Entry(h.encoded_len() as u64)
                 }
-                Err(LogError::ChecksumMismatch { .. }) => {
-                    // Torn write: nothing from here on in this chunk was
-                    // ever acknowledged. Truncate instead of replaying; if
-                    // the tear precedes the persisted tail, pull the tail
-                    // back so later appends overwrite the garbage.
-                    if Self::chunk_of(tail) == chain.chunks[i] && pos < tail {
-                        new_tail = pos;
-                    }
-                    Ok(Step::ChunkEnd)
-                }
-                Err(e) => Err(e),
-            }
+            })
         })?;
-        if new_tail != tail {
-            pm.write_u64(desc + DESC_TAIL, new_tail.offset());
-            pm.persist(desc + DESC_TAIL, 8);
-            // Durability point: the truncated tail is now the log's end.
-            pm.commit_point();
-        }
         let usage = chain
             .chunks
             .iter()
@@ -269,7 +252,7 @@ impl OpLog {
             mgr,
             desc,
             chunks: chain.chunks,
-            tail: new_tail,
+            tail: chain.tail,
             usage,
             seq,
             scratch: Vec::with_capacity(4096),
@@ -659,13 +642,13 @@ impl OpLog {
     /// Used by replication catch-up to ship a quiescent primary's log
     /// suffix past a backup's persisted watermark; the cursor soundness
     /// caveat of [`recover_headers`](Self::recover_headers) applies.
-    /// Unlike recovery, a torn entry here is an error (`ChecksumMismatch`)
-    /// rather than a truncation: the caller's log is supposed to be quiet.
+    /// Unlike recovery, it verifies every entry's CRC-8.
     ///
     /// # Errors
     ///
     /// [`LogError::Corrupt`] on undecodable state or when `from` is not on
-    /// the chain; [`LogError::ChecksumMismatch`] on a torn entry.
+    /// the chain; [`LogError::ChecksumMismatch`] on an entry whose bytes
+    /// changed after they were persisted.
     pub fn scan_descriptor(
         pm: &PmRegion,
         desc: PmAddr,
@@ -679,12 +662,15 @@ impl OpLog {
         Ok(chain.tail)
     }
 
-    /// Scans all surviving entries in chain order (used by tests and the
-    /// recovery path of the engine).
+    /// Full-decodes every entry in chain order, verifying each CRC-8: the
+    /// offline scrub that finds the media errors recovery's header-only
+    /// scan does not look for.
     ///
     /// # Errors
     ///
-    /// [`LogError::Corrupt`] on undecodable state.
+    /// [`LogError::Corrupt`] on undecodable state;
+    /// [`LogError::ChecksumMismatch`] at the first entry whose bytes
+    /// changed after they were persisted.
     pub fn scan(&self, mut f: impl FnMut(LogEntry, PmAddr)) -> Result<(), LogError> {
         Self::walk_entries(&self.chunks, self.tail, None, |_, pos| {
             Self::visit_entry(&self.pm, pos, &mut f)

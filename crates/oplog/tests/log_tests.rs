@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use oplog::{LogEntry, LogOp, OpLog, Payload};
+use oplog::{LogEntry, LogError, LogOp, OpLog, Payload};
 use pmalloc::{ChunkManager, CHUNK_SIZE};
 use pmem::{PmAddr, PmRegion};
 
@@ -150,8 +150,12 @@ fn recovery_sees_only_persisted_tail() {
     assert_eq!(log.tail(), tail);
 }
 
+/// A value byte flipped after its batch was persisted (a media error,
+/// not a torn write: the bytes were durable before the tail covered them)
+/// is replayed by the header-only scan, which keeps the tail, and is
+/// reported by every path that reads the entry.
 #[test]
-fn torn_entry_before_tail_truncates_instead_of_replaying() {
+fn media_flip_before_tail_is_replayed_and_reported_on_read() {
     let (pm, mgr) = setup(4, false);
     let mut log = OpLog::create(Arc::clone(&mgr), PmAddr(0)).unwrap();
     log.append_batch(&[
@@ -162,32 +166,61 @@ fn torn_entry_before_tail_truncates_instead_of_replaying() {
     let addrs = log
         .append_batch(&[LogEntry::put_inline(3, 1, vec![3; 8]).unwrap()])
         .unwrap();
-    let torn_at = addrs[0];
+    let flipped_at = addrs[0];
     let tail_before = log.tail();
     drop(log);
-    // Tear the entry in place: flip one bit of its inline value, as a torn
-    // media write (or a partially-shipped replication batch) would.
-    let b = pm.read_u8(torn_at + 13);
-    pm.write_u8(torn_at + 13, b ^ 0x40);
-    pm.persist(torn_at + 13, 1);
+    let b = pm.read_u8(flipped_at + 13);
+    pm.write_u8(flipped_at + 13, b ^ 0x40);
+    pm.persist(flipped_at + 13, 1);
 
     let mut recovered = Vec::new();
-    let mut log = OpLog::recover_headers(Arc::clone(&mgr), PmAddr(0), None, |h, _| {
+    let log = OpLog::recover_headers(Arc::clone(&mgr), PmAddr(0), None, |h, _| {
         recovered.push(h.key)
     })
     .unwrap();
-    assert_eq!(recovered, vec![1, 2], "torn entry must not be replayed");
-    assert!(log.tail() < tail_before, "tail pulled back over the tear");
-    assert_eq!(log.tail(), torn_at);
+    assert_eq!(recovered, vec![1, 2, 3], "every acked entry is replayed");
+    assert_eq!(log.tail(), tail_before, "the tail stays where it was");
 
-    // The truncated tail is persisted and appendable: a new batch
-    // overwrites the garbage and a second recovery converges.
-    log.append_batch(&[LogEntry::put_inline(4, 1, vec![4; 8]).unwrap()])
-        .unwrap();
+    let flip = LogError::ChecksumMismatch {
+        addr: flipped_at.offset(),
+    };
+    assert_eq!(log.read_entry(flipped_at), Err(flip.clone()));
+    assert_eq!(log.scan(|_, _| {}), Err(flip));
+}
+
+/// A value flip in the middle of a chunk that is not the tail's loses no
+/// later acked entry: the scan reads headers only, so every entry after
+/// the flip — in that chunk and in the next — is recovered.
+#[test]
+fn media_flip_mid_chunk_loses_no_later_entry() {
+    let (pm, mgr) = setup(6, false);
+    let mut log = OpLog::create(Arc::clone(&mgr), PmAddr(0)).unwrap();
+    let mut key = 0u64;
+    let mut addrs = Vec::new();
+    while log.chunks().len() < 3 {
+        let batch: Vec<_> = (0..32)
+            .map(|_| {
+                key += 1;
+                LogEntry::put_inline(key, 1, vec![key as u8; 64]).unwrap()
+            })
+            .collect();
+        addrs.extend(log.append_batch(&batch).unwrap());
+    }
+    let first = log.chunks()[0];
+    let in_first: Vec<_> = addrs
+        .iter()
+        .filter(|&&a| OpLog::chunk_of(a) == first)
+        .collect();
+    let flipped_at = *in_first[in_first.len() / 2];
     drop(log);
-    let mut again = Vec::new();
-    OpLog::recover_headers(mgr, PmAddr(0), None, |h, _| again.push(h.key)).unwrap();
-    assert_eq!(again, vec![1, 2, 4]);
+    let b = pm.read_u8(flipped_at + 20);
+    pm.write_u8(flipped_at + 20, b ^ 0x40);
+    pm.persist(flipped_at + 20, 1);
+
+    let mut recovered = Vec::new();
+    OpLog::recover_headers(mgr, PmAddr(0), None, |h, _| recovered.push(h.key)).unwrap();
+    assert_eq!(recovered.len() as u64, key, "entries lost after the flip");
+    assert!(recovered.into_iter().eq(1..=key), "in append order");
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! engine → PM substrate → recovery) exercised end to end.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use flatstore::{Config, FlatStore, IndexKind};
 use workloads::{value_bytes, EtcWorkload, KeyDist, Op, Workload};
@@ -138,6 +139,43 @@ fn clean_then_crash_paths_compose() {
         };
         assert_eq!(store.get(k).unwrap(), Some(expect), "key {k}");
     }
+}
+
+/// A bare-crash `open` reads entry headers only: every key survives, and
+/// the PM bytes `open` reads stay within 16 B per scanned entry plus a
+/// fixed allowance for the superblock, descriptors and chunk headers.
+/// Each Put here is its own batch: a 13 B header and a one-byte padding
+/// probe. A scan that checked the CRC would read the whole 77 B entry.
+#[test]
+fn crash_scan_reads_entry_headers_only() {
+    let mut c = cfg();
+    c.crash_tracking = true;
+    let store = FlatStore::create(c.clone()).unwrap();
+    let keys = 5_000u64;
+    for k in 0..keys {
+        store.put(k, value_bytes(k, 64)).unwrap();
+    }
+    store.barrier();
+    let pm = store.kill();
+    pm.simulate_crash();
+
+    let before = pm.stats().snapshot();
+    let store = FlatStore::open(Arc::clone(&pm), c).unwrap();
+    let read = pm.stats().snapshot().delta(&before).bytes_read;
+    let scanned = match store.stats_report().get("recovery", "entries_scanned") {
+        Some(obs::Value::U64(n)) => *n,
+        other => panic!("entries_scanned: {other:?}"),
+    };
+    assert_eq!(scanned, keys);
+    assert_eq!(store.len() as u64, keys);
+    for k in 0..keys {
+        assert_eq!(store.get(k).unwrap(), Some(value_bytes(k, 64)), "key {k}");
+    }
+    const ALLOWANCE: u64 = 4 << 10;
+    assert!(
+        read <= 16 * scanned + ALLOWANCE,
+        "open read {read} B for {scanned} entries"
+    );
 }
 
 /// Ordered index + workload mix: range results always reflect a quiesced
