@@ -86,8 +86,8 @@ impl Backup {
                     }
                 }
             })
-            // pmlint: allow(no-unwrap) — thread-spawn failure at startup is
-            // unrecoverable; no shipped state exists to strand yet.
+            // Thread-spawn failure at startup is unrecoverable; no shipped
+            // state exists to strand yet.
             .expect("spawn backup applier");
         Ok(Backup {
             image,
@@ -140,8 +140,8 @@ impl Backup {
         self.stop.store(true, Ordering::Release);
         handle
             .join()
-            // pmlint: allow(no-unwrap) — propagate an applier panic rather
-            // than pretend the replica is consistent.
+            // Propagate an applier panic rather than pretend the replica is
+            // consistent.
             .expect("backup applier panicked")
     }
 }

@@ -5,8 +5,8 @@
 //! flatsrv --listen 127.0.0.1:6399 --unix /tmp/flatsrv.sock --ncores 4
 //! ```
 //!
-//! Runs until a client issues `SHUTDOWN` (flatload's `--shutdown` flag
-//! does this), then drains and prints the final engine stats report.
+//! Runs until a client issues `SHUTDOWN`, then drains and prints the
+//! final engine stats report.
 
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;

@@ -10,7 +10,8 @@
 //!
 //! - [`resp`]: the codec. Server-side incremental command parsing
 //!   (multi-bulk `*N\r\n$len\r\n…` and inline commands), reply
-//!   serializers, and a client-side reply parser for the load generator.
+//!   serializers, and a client-side reply parser for test and benchmark
+//!   clients.
 //! - [`keymap`]: byte keys on the engine's `u64` keyspace. Raw keys are
 //!   hashed (FNV-1a + avalanche) and stored inside the value frame, so
 //!   `GET` verifies the raw key and a hash collision reads as a miss,
@@ -24,9 +25,8 @@
 //!   multi-key verbs fan out over the session's pipelined `Op` API and
 //!   gather their replies into one frame, so a single command fills a
 //!   whole horizontal batch.
-//! - [`load`]: the `flatload` generator — pipelined ETC workload over
-//!   real sockets, latency percentiles, and engine-side `INFO` readback
-//!   (mean HB batch size, cache hit rate).
+//! - [`load`]: [`raw_key`](load::raw_key), the wire name of an engine
+//!   key that every RESP client here uses.
 //!
 //! Everything is `std`-only: no async runtime, no epoll crate — a
 //! non-blocking sweep loop with a spin/yield/sleep idle ladder, matching
@@ -37,5 +37,4 @@ pub mod load;
 pub mod resp;
 pub mod server;
 
-pub use load::{LoadOpts, LoadSummary, Target};
 pub use server::{Listener, Server, ServerOpts, ServerStats, StatsSource};

@@ -5,7 +5,7 @@
 //! inline commands (`GET foo\r\n`, what a human types into `nc`) — and
 //! serializes **replies** (simple strings, errors, integers, bulk
 //! strings, arrays). The client side ([`parse_reply`]) parses replies so
-//! `flatload` can drive a pipelined connection.
+//! test and benchmark clients can drive a pipelined connection.
 //!
 //! Both parsers are incremental: they take the unconsumed read buffer
 //! and return `Ok(None)` when more bytes are needed, or the parsed item

@@ -194,9 +194,12 @@ impl PublishList {
             // `tail` before our Acquire read of it, and no other consumer
             // can run (token held).
             let taken = unsafe { self.slots[(i & self.mask) as usize].with_mut(Option::take) };
-            // pmlint: allow(no-unwrap) — SPSC invariant: every published
-            // index holds the record stored before its tail publish.
-            out.push(taken.expect("published slot filled"));
+            #[expect(
+                clippy::expect_used,
+                reason = "SPSC invariant: every published index holds the record stored before its tail publish"
+            )]
+            let posted = taken.expect("published slot filled");
+            out.push(posted);
             i = i.wrapping_add(1);
         }
         self.head.store(t, Ordering::Release);
@@ -581,7 +584,6 @@ mod tests {
 
     pub(super) fn posted(key: u64) -> Posted {
         Posted {
-            // pmlint: allow(no-unwrap) — tiny inline value in a test.
             entry: LogEntry::put_inline(key, 1, vec![7]).expect("inline fits"),
             completion: Completion::new(),
             traced: false,

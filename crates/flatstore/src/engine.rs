@@ -131,14 +131,10 @@ impl StoreHandle {
         f: impl FnOnce(&mut Session) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let mut guard = self.session.lock();
-        if guard.is_none() {
-            if self.shared.stopped() {
-                return Err(StoreError::ShuttingDown);
-            }
-            *guard = Some(Session::attach(Arc::clone(&self.shared)));
+        if guard.is_none() && self.shared.stopped() {
+            return Err(StoreError::ShuttingDown);
         }
-        // pmlint: allow(no-unwrap) — the branch above just filled the slot.
-        f(guard.as_mut().expect("session attached above"))
+        f(guard.get_or_insert_with(|| Session::attach(Arc::clone(&self.shared))))
     }
 
     /// Opens a new pipelined [`Session`] on the fabric (up to
@@ -491,7 +487,6 @@ impl FlatStore {
     /// keys' winners, marks their blocks, fills its core's tombstones and
     /// builds and loads its core's index. Each phase row reports its
     /// slowest lane.
-    #[allow(clippy::too_many_arguments)]
     fn scan_logs(
         mgr: &Arc<ChunkManager>,
         cfg: &Config,
@@ -646,7 +641,10 @@ impl FlatStore {
     /// its own (DESIGN.md §4), into an index built at the depth where that
     /// core's keys bulk-load without a split. Snapshot keys are distinct by
     /// construction.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one private call site hands over the boot state the load fills"
+    )]
     fn load_snapshot(
         pm: &PmRegion,
         addr: PmAddr,
@@ -782,7 +780,10 @@ impl FlatStore {
         }
     }
 
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "every open path hands its recovered pieces to this one constructor"
+    )]
     fn start(
         pm: Arc<PmRegion>,
         mgr: Arc<ChunkManager>,
@@ -873,14 +874,15 @@ impl FlatStore {
                 cache.clone(),
                 Arc::clone(&flight),
             );
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("flatstore-core-{core}"))
-                    .spawn(move || shard.run())
-                    // pmlint: allow(no-unwrap) — thread-spawn failure at startup
-                    // is unrecoverable; no PM state exists to strand yet.
-                    .expect("spawn worker"),
-            );
+            #[expect(
+                clippy::expect_used,
+                reason = "thread-spawn failure at startup is unrecoverable; no PM state exists to strand yet"
+            )]
+            let worker = std::thread::Builder::new()
+                .name(format!("flatstore-core-{core}"))
+                .spawn(move || shard.run())
+                .expect("spawn worker");
+            workers.push(worker);
         }
         let handle = StoreHandle {
             shared: Arc::clone(&shared),
@@ -1130,11 +1132,13 @@ impl FlatStore {
             return Vec::new();
         }
         self.control.lock().send_shutdown_all();
+        #[expect(
+            clippy::expect_used,
+            reason = "propagate a worker panic rather than pretend a clean shutdown happened over its corpse"
+        )]
         let shards: Vec<Shard> = self
             .workers
             .drain(..)
-            // pmlint: allow(no-unwrap) — propagate a worker panic rather
-            // than pretend a clean shutdown happened over its corpse.
             .map(|w| w.join().expect("worker panicked"))
             .collect();
         // Only now do sessions fail fast: every ring has been fully

@@ -86,6 +86,11 @@
 //! synchronized) offers `put`/`get`/`delete`/`range`, each a depth-1
 //! pipeline over a private session.
 
+// Library code on the persistence path propagates errors: a panic can
+// strand half-written PM state. A sound exception is an
+// `#[expect(clippy::unwrap_used, reason = "...")]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod batch;
 mod cache;
 mod config;

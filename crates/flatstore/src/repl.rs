@@ -232,7 +232,6 @@ mod tests {
     use crate::FlatStore;
 
     fn cfg() -> Config {
-        // pmlint: allow(no-unwrap) — test-only configuration.
         Config::builder()
             .pm_bytes(64 << 20)
             .ncores(2)

@@ -368,8 +368,10 @@ impl Session {
     pub fn wait(&mut self, ticket: Ticket) -> Result<Reply, StoreError> {
         loop {
             if let Some(i) = self.ready.iter().position(|(t, _)| *t == ticket) {
-                // pmlint: allow(no-unwrap) — `i` comes from position() on
-                // the same vec two lines up; nothing mutates it in between.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`i` comes from position() on the same vec two lines up; nothing mutates it in between"
+                )]
                 let (_, result) = self.ready.remove(i).expect("index in bounds");
                 return Ok(result);
             }

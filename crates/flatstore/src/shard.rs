@@ -124,8 +124,11 @@ pub(crate) struct Shard {
     tick: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 impl Shard {
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a shard owns one handle on each piece of shared engine state"
+    )]
     pub fn new(
         core: usize,
         ncores: usize,
@@ -235,7 +238,10 @@ impl Shard {
 
     /// Records the finished op in this core's flight ring (always on —
     /// unsampled ops leave a record with no stamps) and responds.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "every field of the flight-ring record, passed once"
+    )]
     fn finish(
         &mut self,
         client: ClientId,
@@ -405,8 +411,9 @@ impl Shard {
         };
         let entry = if value.len() <= INLINE_MAX {
             // The request's value is moved into the entry — no second copy.
-            // pmlint: allow(no-unwrap) — guarded by `len() <= INLINE_MAX`.
-            LogEntry::put_inline(key, version, value).expect("length checked")
+            #[expect(clippy::expect_used, reason = "guarded by `len() <= INLINE_MAX`")]
+            let entry = LogEntry::put_inline(key, version, value).expect("length checked");
+            entry
         } else {
             let block = match self.alloc.alloc(record_size(value.len())) {
                 Ok(b) => b,
@@ -749,8 +756,10 @@ impl Shard {
                         i += 1;
                         continue;
                     }
-                    // pmlint: allow(no-unwrap) — `i < inflight.len()` is the
-                    // loop condition and complete() runs after the remove.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`i < inflight.len()` is the loop condition and complete() runs after the remove"
+                    )]
                     let inf = self.inflight.remove(i).expect("index in bounds");
                     self.complete(inf, result);
                     progressed = true;
@@ -962,7 +971,7 @@ impl Shard {
         // them to preserve per-key FIFO.
         let mut repushed: HashSet<u64> = HashSet::new();
         for _ in 0..n {
-            // pmlint: allow(no-unwrap) — the loop runs deferred.len() times.
+            #[expect(clippy::expect_used, reason = "the loop runs deferred.len() times")]
             let (client, env) = self.deferred.pop_front().expect("len checked");
             let key = env.body.conflict_key();
             let blocked = key.is_some_and(|k| {

@@ -44,7 +44,10 @@ fn script() -> impl Strategy<Value = Vec<Cmd>> {
 /// Replays `cmds` against a store, checking every answer against a model
 /// as it goes; returns the transcript of Get/Range answers so two stores
 /// can additionally be compared to each other.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a transcript of range answers, used once"
+)]
 fn replay(store: &FlatStore, cmds: &[Cmd]) -> Result<Vec<Vec<(u64, Vec<u8>)>>, TestCaseError> {
     let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut transcript = Vec::new();

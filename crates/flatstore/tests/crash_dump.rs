@@ -44,7 +44,6 @@ fn shard_panic_dumps_partial_stage_vector() {
     std::env::set_var("FLATSTORE_CRASH_TEST_KEY", "7");
     let before = dumps_in(&dir);
 
-    // pmlint: allow(no-unwrap) — test-only configuration.
     let cfg = Config::builder()
         .pm_bytes(64 << 20)
         .ncores(2)

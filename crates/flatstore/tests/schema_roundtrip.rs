@@ -24,7 +24,6 @@ impl ReplicationSink for CountingSink {
 
 #[test]
 fn stats_report_json_round_trips_byte_identical() {
-    // pmlint: allow(no-unwrap) — test-only configuration.
     let cfg = Config::builder()
         .pm_bytes(64 << 20)
         .dram_bytes(8 << 20)

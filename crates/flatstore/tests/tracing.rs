@@ -40,7 +40,6 @@ impl ReplicationSink for InstantSink {
 }
 
 fn traced_cfg() -> Config {
-    // pmlint: allow(no-unwrap) — test-only configuration.
     Config::builder()
         .pm_bytes(64 << 20)
         .dram_bytes(8 << 20) // read cache on → cache_invalidate stage
@@ -195,7 +194,6 @@ fn traced_get_takes_the_short_path() {
 
 #[test]
 fn trace_sample_zero_records_nothing() {
-    // pmlint: allow(no-unwrap) — test-only configuration.
     let cfg = Config::builder()
         .pm_bytes(64 << 20)
         .ncores(2)

@@ -49,11 +49,6 @@ impl Store {
         }
     }
 
-    #[allow(dead_code)]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// Bump-allocates `size` bytes at 64 B alignment, reusing freed blocks
     /// of the same size first.
     pub fn alloc(&mut self, size: u64) -> Result<PmAddr, IndexError> {

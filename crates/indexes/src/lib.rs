@@ -26,6 +26,11 @@
 //! 20-bit version and a 40-bit entry pointer into the value). The key
 //! `u64::MAX` is reserved as the empty-slot sentinel.
 
+// Library code on the persistence path propagates errors: a panic can
+// strand half-written PM state. A sound exception is an
+// `#[expect(clippy::unwrap_used, reason = "...")]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod cceh;
 mod common;
 mod error;

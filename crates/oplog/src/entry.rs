@@ -89,8 +89,10 @@ fn crc8(bytes: &[u8], skip: usize) -> u8 {
 /// The 20-bit version and the key out of an entry's first 11 bytes.
 fn version_and_key(raw: &[u8]) -> (u32, u64) {
     let version = (raw[0] >> 4) as u32 | (u16::from_le_bytes([raw[1], raw[2]]) as u32) << 4;
-    // pmlint: allow(no-unwrap) — [3..11] is 8 bytes; every caller passes at
-    // least a 13-byte header.
+    #[expect(
+        clippy::expect_used,
+        reason = "[3..11] is 8 bytes; every caller passes at least a 13-byte header"
+    )]
     let key = u64::from_le_bytes(raw[3..11].try_into().expect("8 bytes"));
     (version, key)
 }
@@ -273,7 +275,7 @@ impl EntryHeader {
         }
         let (version, key) = version_and_key(&raw);
         let ptr = if op == LogOp::Put && !inline {
-            // pmlint: allow(no-unwrap) — fixed-width slice of a 269-byte array.
+            #[expect(clippy::expect_used, reason = "fixed-width slice of a 269-byte array")]
             let packed = u32::from_le_bytes(raw[11..15].try_into().expect("4 bytes"));
             if packed == 0 {
                 return Err(LogError::Corrupt {
@@ -479,7 +481,7 @@ impl LogEntry {
                 )))
             }
             LogOp::Put => {
-                // pmlint: allow(no-unwrap) — raw[11..15] is 4 bytes.
+                #[expect(clippy::expect_used, reason = "raw[11..15] is 4 bytes")]
                 let packed = u32::from_le_bytes(raw[11..15].try_into().expect("4 bytes"));
                 let ptr = (packed as u64) << 8;
                 if ptr == 0 {

@@ -38,6 +38,11 @@
 //! # Ok::<(), oplog::LogError>(())
 //! ```
 
+// Library code on the persistence path propagates errors: a panic can
+// strand half-written PM state. A sound exception is an
+// `#[expect(clippy::unwrap_used, reason = "...")]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod entry;
 mod error;
 mod log;

@@ -215,7 +215,7 @@ impl OpLog {
             // A crash between `seal_and_extend`'s link and the tail persist:
             // the successor holds no acked entry (only, perhaps, a previous
             // owner's). Cut it off before anything can follow the link.
-            // pmlint: allow(no-unwrap) — walk_chain ends at the tail's chunk.
+            #[expect(clippy::expect_used, reason = "walk_chain ends at the tail's chunk")]
             let last = *chain.chunks.last().expect("chain is never empty");
             pm.write_u64(last + OFF_NEXT, 0);
             pm.persist(last + OFF_NEXT, 8);
@@ -328,9 +328,12 @@ impl OpLog {
                     continue; // entirely pre-cursor
                 }
                 // Resume exactly at the cursor.
-                // pmlint: allow(no-unwrap) — from_chunk is Some only when
-                // `from` is (both derive from the same Option).
-                pos = from.expect("cursor present");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "from_chunk is Some only when `from` is (both derive from the same Option)"
+                )]
+                let cursor = from.expect("cursor present");
+                pos = cursor;
                 reached_cursor = true;
             }
             while pos < end {
@@ -343,11 +346,12 @@ impl OpLog {
             }
         }
         if !reached_cursor {
-            return Err(LogError::Corrupt {
-                // pmlint: allow(no-unwrap) — reached_cursor starts false
-                // only when `from` is Some (see the initialisation above).
-                addr: from.expect("cursor present").offset(),
-            });
+            #[expect(
+                clippy::expect_used,
+                reason = "reached_cursor starts false only when `from` is Some (see the initialisation above)"
+            )]
+            let addr = from.expect("cursor present").offset();
+            return Err(LogError::Corrupt { addr });
         }
         Ok(())
     }

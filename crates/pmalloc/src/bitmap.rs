@@ -125,8 +125,9 @@ impl Bitmap {
             if i >= bm.words.len() {
                 break;
             }
-            // pmlint: allow(no-unwrap) — chunks_exact(8) yields 8-byte slices.
-            bm.words[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields 8-byte slices")]
+            let word: [u8; 8] = chunk.try_into().expect("8-byte chunk");
+            bm.words[i] = u64::from_le_bytes(word);
         }
         bm.used = bm.words.iter().map(|w| w.count_ones()).sum();
         bm.hint = 0;

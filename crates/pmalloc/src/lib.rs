@@ -38,6 +38,11 @@
 //! # Ok::<(), pmalloc::AllocError>(())
 //! ```
 
+// Library code on the persistence path propagates errors: a panic can
+// strand half-written PM state. A sound exception is an
+// `#[expect(clippy::unwrap_used, reason = "...")]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod arena;
 mod bitmap;
 mod chunk;

@@ -124,11 +124,6 @@ impl LruMap {
         })
     }
 
-    #[allow(dead_code)]
-    fn contains_touch(&mut self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
     fn insert(&mut self, key: u64, value: u64) {
         self.tick += 1;
         self.map.insert(key, (value, self.tick));

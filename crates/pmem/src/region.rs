@@ -23,8 +23,10 @@ impl RawBuf {
     /// `posix_memalign` + `memset`.
     fn new(len: usize) -> Self {
         assert!(len > 0, "PM region must be non-empty");
-        // pmlint: allow(no-unwrap) — len > 0 asserted above and 64 is a valid
-        // power-of-two alignment, so the layout is always constructible.
+        #[expect(
+            clippy::expect_used,
+            reason = "len > 0 asserted above and 64 is a valid power-of-two alignment, so the layout is always constructible"
+        )]
         let layout = Layout::from_size_align(len, CACHELINE as usize).expect("layout");
         // SAFETY: layout has non-zero size.
         let base = unsafe { alloc_zeroed(layout) };
@@ -44,8 +46,10 @@ impl RawBuf {
     fn lazy(len: usize) -> Self {
         assert!(len > 0, "DRAM arena must be non-empty");
         let slack = CACHELINE as usize;
-        // pmlint: allow(no-unwrap) — non-zero size, power-of-two alignment;
-        // only a length within 64 B of `isize::MAX` could fail.
+        #[expect(
+            clippy::expect_used,
+            reason = "non-zero size, power-of-two alignment; only a length within 64 B of `isize::MAX` could fail"
+        )]
         let layout = Layout::from_size_align(len + slack, 16).expect("layout");
         // SAFETY: layout has non-zero size.
         let base = unsafe { alloc_zeroed(layout) };
@@ -249,11 +253,13 @@ impl PmRegion {
 
     #[inline]
     fn check(&self, addr: PmAddr, len: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "deliberate loud death: an offset overflow is a caller bug the bounds assert below cannot name"
+        )]
         let end = addr
             .offset()
             .checked_add(len as u64)
-            // pmlint: allow(no-unwrap) — deliberate loud death: an offset
-            // overflow is a caller bug the bounds assert below cannot name.
             .expect("PM address overflow");
         assert!(
             end <= self.len as u64,
@@ -495,11 +501,13 @@ impl PmRegion {
     /// Panics if the region was not created with
     /// [`with_crash_tracking`](Self::with_crash_tracking).
     pub fn simulate_crash(&self) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract of this test-oriented API (see the doc comment above)"
+        )]
         let shadow = self
             .shadow
             .as_ref()
-            // pmlint: allow(no-unwrap) — documented panic contract of this
-            // test-oriented API (see the doc comment above).
             .expect("simulate_crash requires a region built with_crash_tracking");
         if let Some(strict) = &self.strict {
             // Flushed-but-unfenced lines race the power failure: each one

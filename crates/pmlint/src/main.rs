@@ -4,17 +4,22 @@
 //!
 //! | rule | scope | requirement |
 //! |------|-------|-------------|
-//! | `safety-comment` | every file | each line containing `unsafe` carries a `// SAFETY:` comment on it or directly above |
 //! | `write-without-persist` | oplog, pmalloc, indexes, flatstore, flatrepl `src/` | a function that stores to PM (`write*`/`fill`) must also flush/fence/persist, or explain why its caller does |
 //! | `sim-wall-clock` | simkv, obs `src/` | no `Instant::now`/`SystemTime` in clock-agnostic code: the simulator runs on virtual time only, and the obs span/histogram layer must take every timestamp from its caller so the same code serves both wall-clock and virtual-time producers |
-//! | `no-unwrap` | pmem, pmalloc, oplog, indexes, flatstore `src/` | no `.unwrap()`/`.expect(` in non-test library code |
 //! | `volatile-only` | flatstore `src/cache.rs` | the DRAM read cache must never touch PM (`PmRegion`/`PmAddr`/flush/fence/persist) — its whole coherence argument rests on being reconstructible-from-nothing volatile state |
+//! | `relaxed-ordering` | flatrpc, flatstore, obs `src/` (bar the stat-only files) | a `Relaxed` atomic access outside the stat-bump idiom names the happens-before edge that makes it sound |
+//!
+//! The generic rules live in clippy, through the workspace `[lints]`
+//! table and the persistence crates' lib roots: `undocumented_unsafe_blocks`
+//! (a `// SAFETY:` comment on every `unsafe` block and impl) and
+//! `unwrap_used`/`expect_used` (no panicking unwrap in pmem, pmalloc,
+//! oplog, indexes and flatstore library code).
 //!
 //! A finding can be waived in place with an *escape comment* on the
 //! offending line or the line above, naming the rule and giving a reason:
 //!
 //! ```text
-//! // pmlint: allow(no-unwrap) — length checked two lines up
+//! // pmlint: allow(relaxed-ordering) — own index, sole writer
 //! ```
 //!
 //! The reason is mandatory: an escape without one is itself reported
@@ -25,10 +30,6 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Crates whose `src/` must stay free of `.unwrap()`/`.expect(`: they sit
-/// on the persistence path, so a panic can strand half-written PM state.
-const NO_UNWRAP_CRATES: &[&str] = &["pmem", "pmalloc", "oplog", "indexes", "flatstore"];
 
 /// Crates whose `src/` functions are held to the write-implies-persist rule.
 const WRITE_PERSIST_CRATES: &[&str] = &["oplog", "pmalloc", "indexes", "flatstore", "flatrepl"];
@@ -50,11 +51,9 @@ const PERSIST_TOKENS: &[&str] = &[".flush(", ".fence(", "persist", "commit_point
 const VOLATILE_ONLY_TOKENS: &[&str] = &["PmRegion", "PmAddr", ".persist(", ".flush(", ".fence("];
 
 const RULE_NAMES: &[&str] = &[
-    "safety-comment",
     "write-without-persist",
-    "sim-wall-clock",
-    "no-unwrap",
     "volatile-only",
+    "sim-wall-clock",
     "relaxed-ordering",
 ];
 
@@ -309,7 +308,6 @@ fn parse_allow(comment: &str) -> Option<Allow> {
 /// Which rule families apply to a file, derived from its workspace path.
 #[derive(Debug, Default, Clone, Copy)]
 struct Scope {
-    no_unwrap: bool,
     write_persist: bool,
     sim_wall_clock: bool,
     volatile_only: bool,
@@ -324,7 +322,6 @@ fn scope_of(rel: &Path) -> Scope {
     let lib_src = parts.len() > 3 && parts[0] == "crates" && parts[2] == "src";
     let krate = if lib_src { parts[1] } else { "" };
     Scope {
-        no_unwrap: lib_src && NO_UNWRAP_CRATES.contains(&krate),
         write_persist: lib_src && WRITE_PERSIST_CRATES.contains(&krate),
         // obs rides along: span/histogram code must never read the wall
         // clock itself — callers pass timestamps in, which is exactly what
@@ -355,8 +352,8 @@ fn has_word(code: &str, word: &str) -> bool {
     false
 }
 
-/// A line is "transparent" for the SAFETY walk-up: blank, pure comment, or
-/// attribute-only — the comment may sit above a `#[inline]` etc.
+/// A line is "transparent" for the escape walk-up: blank, pure comment, or
+/// attribute-only — the escape may sit above a `#[inline]` etc.
 fn transparent(l: &Line) -> bool {
     let t = l.code.trim();
     t.is_empty() || (t.starts_with("#[") && t.ends_with(']'))
@@ -425,27 +422,6 @@ fn check_file(rel: &Path, src: &str) -> Vec<Finding> {
         }
     };
 
-    // safety-comment: every `unsafe` line, everywhere (tests included —
-    // undocumented unsafe in a test is just as unreadable).
-    for (i, l) in lines.iter().enumerate() {
-        if !has_word(&l.code, "unsafe") {
-            continue;
-        }
-        let mut ok = l.comment.contains("SAFETY:");
-        let mut j = i;
-        while !ok && j > 0 && transparent(&lines[j - 1]) {
-            j -= 1;
-            ok = lines[j].comment.contains("SAFETY:");
-        }
-        if !ok {
-            report(
-                i,
-                "safety-comment",
-                "`unsafe` without a `// SAFETY:` comment on it or directly above".to_string(),
-            );
-        }
-    }
-
     // sim-wall-clock: the DES must run on virtual time only.
     if scope.sim_wall_clock {
         for (i, l) in lines.iter().enumerate() {
@@ -477,24 +453,6 @@ fn check_file(rel: &Path, src: &str) -> Vec<Finding> {
                         i,
                         "volatile-only",
                         format!("`{tok}` in the volatile read cache — DRAM state only"),
-                    );
-                }
-            }
-        }
-    }
-
-    // no-unwrap: persistence-path library code must propagate errors.
-    if scope.no_unwrap {
-        for (i, l) in lines.iter().enumerate() {
-            if in_test[i] {
-                continue;
-            }
-            for tok in [".unwrap()", ".expect("] {
-                if l.code.contains(tok) {
-                    report(
-                        i,
-                        "no-unwrap",
-                        format!("`{tok}` in persistence-crate library code"),
                     );
                 }
             }
@@ -715,44 +673,9 @@ mod tests {
 
     #[test]
     fn cfg_test_attribute_on_use_item_gates_nothing() {
-        let src = "#[cfg(test)]\nuse foo::bar;\nfn lib() { x.unwrap() }\n";
+        let src = "#[cfg(test)]\nuse foo::bar;\nfn lib() { a.store(1, Relaxed) }\n";
         let lines = strip_source(src);
         assert!(!test_spans(&lines)[2]);
-    }
-
-    #[test]
-    fn safety_comment_rule() {
-        let bad = "fn f() {\n    unsafe { g() }\n}\n";
-        assert_eq!(rules(&check("crates/x/src/a.rs", bad)), ["safety-comment"]);
-
-        let good = "fn f() {\n    // SAFETY: g upholds it\n    unsafe { g() }\n}\n";
-        assert!(check("crates/x/src/a.rs", good).is_empty());
-
-        let trailing = "unsafe impl Send for X {} // SAFETY: no shared state\n";
-        assert!(check("crates/x/src/a.rs", trailing).is_empty());
-
-        let with_attr = "// SAFETY: documented\n#[inline]\nunsafe fn f() {}\n";
-        assert!(check("crates/x/src/a.rs", with_attr).is_empty());
-    }
-
-    #[test]
-    fn no_unwrap_scoped_to_persistence_crate_src() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(rules(&check("crates/pmem/src/a.rs", src)), ["no-unwrap"]);
-        assert!(check("crates/obs/src/a.rs", src).is_empty());
-        assert!(check("crates/pmem/tests/a.rs", src).is_empty());
-
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        assert!(check("crates/pmem/src/a.rs", in_test).is_empty());
-        let in_racecheck_test =
-            "#[cfg(all(test, racecheck))]\nmod racecheck_tests {\n    fn t() { x.unwrap(); }\n}\n";
-        assert!(check("crates/flatstore/src/a.rs", in_racecheck_test).is_empty());
-        // Only that exact gate: another `all(test, ..)` is not recognised.
-        let other_gate = "#[cfg(all(test, loom))]\nmod m {\n    fn t() { x.unwrap(); }\n}\n";
-        assert_eq!(
-            rules(&check("crates/flatstore/src/a.rs", other_gate)),
-            ["no-unwrap"]
-        );
     }
 
     #[test]
@@ -825,6 +748,15 @@ mod tests {
         assert!(check("crates/flatstore/src/cache.rs", src).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t(a: &AtomicU64) { a.store(1, Ordering::Relaxed); }\n}\n";
         assert!(check("crates/flatrpc/src/ring.rs", in_test).is_empty());
+        // The shipped-source racecheck modules are test code too.
+        let in_racecheck_test = "#[cfg(all(test, racecheck))]\nmod racecheck_tests {\n    fn t(a: &AtomicU64) { a.store(1, Ordering::Relaxed); }\n}\n";
+        assert!(check("crates/flatstore/src/batch.rs", in_racecheck_test).is_empty());
+        // Only that exact gate: another `all(test, ..)` is not recognised.
+        let other_gate = "#[cfg(all(test, loom))]\nmod m {\n    fn t(a: &AtomicU64) { a.store(1, Ordering::Relaxed); }\n}\n";
+        assert_eq!(
+            rules(&check("crates/flatstore/src/batch.rs", other_gate)),
+            ["relaxed-ordering"]
+        );
     }
 
     #[test]
@@ -846,27 +778,31 @@ mod tests {
 
     #[test]
     fn escapes_suppress_with_reason_only() {
-        let reasoned =
-            "fn f() {\n    // pmlint: allow(no-unwrap) — bounds checked above\n    x.unwrap();\n}\n";
-        assert!(check("crates/pmem/src/a.rs", reasoned).is_empty());
+        let reasoned = "fn f() {\n    // pmlint: allow(sim-wall-clock) — measures the host, not the model\n    let t = Instant::now();\n}\n";
+        assert!(check("crates/simkv/src/a.rs", reasoned).is_empty());
 
-        let multiline = "fn f() {\n    // pmlint: allow(no-unwrap) — the index was validated by the\n    // binary search on the line above.\n    x.unwrap();\n}\n";
-        assert!(check("crates/pmem/src/a.rs", multiline).is_empty());
+        let multiline = "fn f() {\n    // pmlint: allow(sim-wall-clock) — the caller reads this only\n    // for the host-time report row.\n    let t = Instant::now();\n}\n";
+        assert!(check("crates/simkv/src/a.rs", multiline).is_empty());
 
-        let bare = "fn f() {\n    // pmlint: allow(no-unwrap)\n    x.unwrap();\n}\n";
-        let f = check("crates/pmem/src/a.rs", bare);
-        assert_eq!(rules(&f), ["allow-missing-reason", "no-unwrap"]);
+        let bare =
+            "fn f() {\n    // pmlint: allow(sim-wall-clock)\n    let t = Instant::now();\n}\n";
+        let f = check("crates/simkv/src/a.rs", bare);
+        assert_eq!(rules(&f), ["allow-missing-reason", "sim-wall-clock"]);
 
         let unknown = "// pmlint: allow(no-such-rule) — whatever\n";
         assert_eq!(
-            rules(&check("crates/pmem/src/a.rs", unknown)),
+            rules(&check("crates/simkv/src/a.rs", unknown)),
             ["allow-missing-reason"]
         );
     }
 
     #[test]
     fn prose_mentioning_the_syntax_is_not_an_escape() {
-        let doc = "/// Waive with `// pmlint: allow(no-unwrap) — reason`.\nfn f() {}\n";
-        assert!(check("crates/pmem/src/a.rs", doc).is_empty());
+        // Neither a reasonless escape nor a waiver of the line below.
+        let doc = "/// Waive with `// pmlint: allow(sim-wall-clock)`.\nfn f() { let t = Instant::now(); }\n";
+        assert_eq!(
+            rules(&check("crates/simkv/src/a.rs", doc)),
+            ["sim-wall-clock"]
+        );
     }
 }

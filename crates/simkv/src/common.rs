@@ -76,11 +76,6 @@ impl<T> Mailbox<T> {
             None
         }
     }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Converts the [`PmEvent`] traces emitted by the real data-structure code
@@ -334,7 +329,7 @@ mod tests {
         assert_eq!(m.pop_arrived(6.0).map(|x| x.1), Some("a"));
         assert_eq!(m.pop_arrived(6.0).map(|x| x.1), Some("b"));
         assert_eq!(m.pop_arrived(6.0), None);
-        assert!(!m.is_empty());
+        assert_eq!(m.next_time(), Some(9.0));
     }
 
     #[test]

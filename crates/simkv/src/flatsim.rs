@@ -502,7 +502,6 @@ impl FlatSim {
         summary
     }
 
-    #[allow(clippy::too_many_lines)]
     fn step_core(&mut self, i: usize) {
         let mut t = self.cores[i].clock;
         let mut staged: Vec<usize> = Vec::new();

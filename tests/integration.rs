@@ -1,9 +1,15 @@
 //! Cross-crate integration tests: the full stack (workload generators →
-//! engine → PM substrate → recovery) exercised end to end.
+//! engine → PM substrate → recovery, replication failover and the RESP
+//! wire front end) exercised end to end.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 
+use flatrepl::ReplicatedStore;
+use flatsrv::resp::{self, Reply};
+use flatsrv::{Listener, Server, ServerOpts, StatsSource};
 use flatstore::{Config, FlatStore, IndexKind};
 use workloads::{value_bytes, EtcWorkload, KeyDist, Op, Workload};
 
@@ -224,4 +230,82 @@ fn des_pipelined_hb_beats_nonbatch() {
         nonbatch.mops
     );
     assert!(pipelined.avg_batch > 1.5);
+}
+
+/// Replication and the wire front end in one pass: every put acked by a
+/// `ReplicatedStore` survives the primary's loss and the backup's
+/// promotion, and the promoted store then serves a SET/GET round trip
+/// through an in-process `flatsrv` server on a Unix socket.
+#[test]
+fn repl_failover_then_resp_round_trip() {
+    let c = Config::builder()
+        .pm_bytes(64 << 20)
+        .ncores(2)
+        .group_size(2)
+        .crash_tracking(true)
+        .build()
+        .expect("valid test config");
+    let store = ReplicatedStore::create(c.clone()).unwrap();
+    for k in 0..400u64 {
+        store.put(k, value_bytes(k, 64)).unwrap();
+    }
+    let (primary_pm, backup) = store.fail_primary();
+    primary_pm.simulate_crash();
+    let promoted = Arc::new(backup.promote(c).unwrap());
+    assert_eq!(promoted.len(), 400);
+    for k in 0..400u64 {
+        assert_eq!(
+            promoted.get(k).unwrap(),
+            Some(value_bytes(k, 64)),
+            "key {k}"
+        );
+    }
+
+    let path = std::env::temp_dir().join(format!("flatstore-tier1-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).unwrap();
+    let st = Arc::clone(&promoted);
+    let stats: StatsSource = Arc::new(move || st.stats_report().to_json());
+    let server = Server::start(
+        promoted.handle(),
+        stats,
+        vec![Listener::Unix(listener)],
+        ServerOpts::default(),
+    )
+    .unwrap();
+    let mut conn = UnixStream::connect(&path).unwrap();
+    conn.write_all(&resp::command(&[
+        b"SET".to_vec(),
+        b"tier1".to_vec(),
+        b"wire".to_vec(),
+    ]))
+    .unwrap();
+    conn.write_all(&resp::command(&[b"GET".to_vec(), b"tier1".to_vec()]))
+        .unwrap();
+    let mut buf = Vec::new();
+    let mut replies = Vec::new();
+    while replies.len() < 2 {
+        match resp::parse_reply(&buf).unwrap() {
+            Some((r, used)) => {
+                buf.drain(..used);
+                replies.push(r);
+            }
+            None => {
+                let mut chunk = [0u8; 512];
+                let n = conn.read(&mut chunk).unwrap();
+                assert!(n > 0, "server closed mid-reply");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+    assert_eq!(
+        replies,
+        [
+            Reply::Simple("OK".into()),
+            Reply::Bulk(Some(b"wire".to_vec()))
+        ]
+    );
+    drop(conn);
+    server.stop();
+    let _ = std::fs::remove_file(&path);
 }
