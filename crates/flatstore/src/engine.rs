@@ -1419,22 +1419,26 @@ mod tests {
         }
     }
 
-    /// A clean shutdown → open of 100 k keys sizes the index from the
-    /// snapshot's per-core counts and bulk-loads it: no CCEH split.
-    #[test]
-    fn clean_reopen_of_100k_keys_bulk_loads_without_a_split() {
+    /// Writes 100 k keys on two cores, reopens the store through `reopen`
+    /// and checks that recovery took `path`, built each core's CCEH at the
+    /// depth its keys bulk-load at without a split, and did not split.
+    fn reopen_100k_keys_without_a_split(
+        path: u64,
+        reopen: impl FnOnce(FlatStore) -> Arc<PmRegion>,
+    ) {
         let cfg = Config::builder()
             .pm_bytes(64 << 20)
             .dram_bytes(16 << 20)
             .ncores(2)
             .group_size(2)
+            .crash_tracking(path == 3)
             .build()
             .unwrap();
         let n = 100_000u64;
         let store = FlatStore::create(cfg.clone()).unwrap();
         pipelined_puts(&store, 0..n, |i| i, |i| value_bytes(i, 8));
-        let pm = store.shutdown().unwrap();
-        let store = FlatStore::open(pm, cfg.clone()).unwrap();
+        let store = FlatStore::open(reopen(store), cfg.clone()).unwrap();
+        assert_eq!(store.recovery.map(|r| r.path), Some(path));
         assert_eq!(store.len() as u64, n);
         let VolatileIndex::PerCoreHash(shards) = &*store.index else {
             panic!("the default index is the per-core hash");
@@ -1448,5 +1452,23 @@ mod tests {
         for k in (0..n).step_by(997) {
             assert_eq!(store.get(k).unwrap(), Some(value_bytes(k, 8)));
         }
+    }
+
+    /// A clean shutdown → open sizes the index from the snapshot's
+    /// per-core counts and bulk-loads it: no CCEH split.
+    #[test]
+    fn clean_reopen_of_100k_keys_bulk_loads_without_a_split() {
+        reopen_100k_keys_without_a_split(1, |store| store.shutdown().unwrap());
+    }
+
+    /// A crash → open sizes each owner lane's index from the keys it won
+    /// and bulk-loads it: no CCEH split either.
+    #[test]
+    fn crash_reopen_of_100k_keys_bulk_loads_without_a_split() {
+        reopen_100k_keys_without_a_split(3, |store| {
+            let pm = store.kill();
+            pm.simulate_crash();
+            pm
+        });
     }
 }

@@ -140,8 +140,13 @@ impl Cceh {
     }
 
     #[inline]
+    fn slot_offset(bucket: u64, slot: u64) -> u64 {
+        bucket * BUCKET_LEN + slot * SLOT_LEN
+    }
+
+    #[inline]
     fn slot_addr(seg: PmAddr, bucket: u64, slot: u64) -> PmAddr {
-        seg + bucket * BUCKET_LEN + slot * SLOT_LEN
+        seg + Self::slot_offset(bucket, slot)
     }
 
     #[inline]
@@ -240,7 +245,6 @@ impl Cceh {
         let new_addr = Self::fresh_segment(&mut self.store)?;
 
         // Copy the slots whose hash now maps to the new segment.
-        let mut moved = 0u64;
         for bucket in 0..BUCKETS_PER_SEG {
             for s in 0..SLOTS_PER_BUCKET {
                 let a = Self::slot_addr(old.addr, bucket, s);
@@ -263,7 +267,6 @@ impl Cceh {
                             if self.store.pm.read_u64(na) == EMPTY {
                                 self.store.pm.write_u64(na + 8, v);
                                 self.store.pm.write_u64(na, k);
-                                moved += 1;
                                 break 'place;
                             }
                         }
@@ -271,7 +274,6 @@ impl Cceh {
                 }
             }
         }
-        let _ = moved;
         // Persist the whole new segment before publishing it (CCEH's
         // split-then-flush; the bulk of its write amplification).
         self.store.persist(new_addr, SEG_LEN as usize);
@@ -303,24 +305,101 @@ impl Index for Cceh {
         self.upsert(hash64(key), key, value, false)
     }
 
-    /// Sorts `pairs` by hash — directory order, so each segment's keys
-    /// arrive together while it is in cache — and puts each key in the
-    /// first usable slot of its window, without searching the window for
-    /// the key: the precondition says it is absent. `hash64` is a
-    /// bijection, so a repeated key sorts next to itself and one adjacent
-    /// compare rejects it before anything is stored.
+    /// Partitions `pairs` by directory entry in one counting pass, hashing
+    /// each key once, and sorts each entry's group (about 200 keys at
+    /// [`depth_for`](Cceh::depth_for)'s depth) by hash. `hash64` is a
+    /// bijection, so a repeated key lands next to itself and is rejected,
+    /// like a reserved key, before anything is stored. Then each segment
+    /// is copied out whole, its keys go to the first usable slot of their
+    /// windows — no search for the key itself: the precondition says it
+    /// is absent — and the segment is written back and persisted once.
+    /// A key whose window is full is stored by `insert`'s path after the
+    /// write-back and splits as `insert` does; a split re-points the
+    /// directory, so the keys after it take that path too.
     fn bulk_load(&mut self, pairs: &mut [(u64, u64)]) -> Result<(), IndexError> {
-        pairs.sort_unstable_by_key(|&(key, _)| hash64(key));
-        for w in pairs.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(IndexError::DuplicateKey { key: w[0].0 });
+        let hashes: Vec<u64> = pairs.iter().map(|&(key, _)| hash64(key)).collect();
+        let ndir = self.directory.len();
+        // starts[d]..starts[d + 1] is directory entry d's group.
+        let mut starts = vec![0usize; ndir + 1];
+        for &h in &hashes {
+            starts[self.dir_index(h) + 1] += 1;
+        }
+        for d in 0..ndir {
+            starts[d + 1] += starts[d];
+        }
+        let mut next = starts.clone();
+        let mut grouped = vec![(0u64, 0u64, 0u64); pairs.len()];
+        for (&h, &(key, value)) in hashes.iter().zip(pairs.iter()) {
+            let d = self.dir_index(h);
+            grouped[next[d]] = (h, key, value);
+            next[d] += 1;
+        }
+        drop((hashes, next));
+        for d in 0..ndir {
+            let group = &mut grouped[starts[d]..starts[d + 1]];
+            group.sort_unstable_by_key(|&(h, _, _)| h);
+            if let Some(w) = group.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(IndexError::DuplicateKey { key: w[0].1 });
             }
         }
-        if pairs.iter().any(|&(key, _)| key == EMPTY) {
+        if grouped.iter().any(|&(_, key, _)| key == EMPTY) {
             return Err(IndexError::ReservedKey);
         }
-        for &(key, value) in pairs.iter() {
-            self.upsert(hash64(key), key, value, true)?;
+
+        let mut seg_buf = vec![0u8; SEG_LEN as usize];
+        let word = |buf: &[u8], at: usize| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&buf[at..at + 8]);
+            u64::from_le_bytes(b)
+        };
+        let mut full = Vec::new();
+        let mut d = 0;
+        while d < ndir {
+            // A segment serves a run of adjacent directory entries.
+            let seg_id = self.directory[d];
+            let end = d + self.directory[d..]
+                .iter()
+                .take_while(|&&id| id == seg_id)
+                .count();
+            let run = &grouped[starts[d]..starts[end]];
+            d = end;
+            if run.is_empty() {
+                continue;
+            }
+            let seg = self.segments[seg_id as usize].clone();
+            self.store.pm.read(seg.addr, &mut seg_buf);
+            'key: for &(h, key, value) in run {
+                let start = h & (BUCKETS_PER_SEG - 1);
+                for i in 0..PROBE_BUCKETS {
+                    let bucket = (start + i) & (BUCKETS_PER_SEG - 1);
+                    for s in 0..SLOTS_PER_BUCKET {
+                        let at = Self::slot_offset(bucket, s) as usize;
+                        let k = word(&seg_buf, at);
+                        if k == EMPTY || !Self::belongs(&seg, hash64(k)) {
+                            seg_buf[at..at + 8].copy_from_slice(&key.to_le_bytes());
+                            seg_buf[at + 8..at + 16].copy_from_slice(&value.to_le_bytes());
+                            self.len += 1;
+                            continue 'key;
+                        }
+                    }
+                }
+                full.push((h, key, value));
+            }
+            // One flush of the segment: a 16 B slot never straddles a
+            // cacheline, so a key persists with its value.
+            self.store.pm.write(seg.addr, &seg_buf);
+            self.store.persist(seg.addr, SEG_LEN as usize);
+            let nsegs = self.segments.len();
+            for (h, key, value) in full.drain(..) {
+                self.upsert(h, key, value, true)?;
+            }
+            if self.segments.len() != nsegs {
+                // `starts` indexes the directory as it was before the split.
+                for &(h, key, value) in &grouped[starts[end]..] {
+                    self.upsert(h, key, value, true)?;
+                }
+                return Ok(());
+            }
         }
         Ok(())
     }

@@ -19,7 +19,8 @@ pub trait Index: Send {
     /// Loads `pairs` in one call (crash recovery, snapshot load). The keys
     /// must be distinct and absent from the index; the slice may be
     /// reordered. The default inserts one pair at a time; an index with a
-    /// cheaper way to place keys it knows are new overrides it.
+    /// cheaper way to place keys it knows are new overrides it (CCEH
+    /// writes each segment once).
     ///
     /// # Errors
     ///

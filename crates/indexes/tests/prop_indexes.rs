@@ -84,13 +84,35 @@ fn every_kind() -> Vec<(&'static str, Box<dyn Index>)> {
     ]
 }
 
-/// At least one distinct key from the whole key space, in random order.
-fn distinct_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    prop::collection::vec((0..=MAX_KEY, any::<u64>()), 1..2500).prop_map(|mut pairs| {
+/// Distinct keys from the whole key space, in random order: `len` draws
+/// with the repeats dropped.
+fn distinct_pairs_of(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0..=MAX_KEY, any::<u64>()), len).prop_map(|mut pairs| {
         let mut seen = BTreeSet::new();
         pairs.retain(|(k, _)| seen.insert(*k));
         pairs
     })
+}
+
+/// At least one distinct key.
+fn distinct_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    distinct_pairs_of(1..2500)
+}
+
+/// 1 100–3 999 distinct keys and a cut: the first `cut` of them (at
+/// least 1 100, more than one CCEH segment holds) go in before the load.
+fn prefill_and_load() -> impl Strategy<Value = (Vec<(u64, u64)>, usize)> {
+    distinct_pairs_of(1100..4000).prop_flat_map(|pairs| {
+        let n = pairs.len();
+        (Just(pairs), 1100.min(n)..=n)
+    })
+}
+
+/// More distinct keys than the 1 024 << `depth` slots of a depth-`depth`
+/// CCEH hold.
+fn overfull(depth: u32) -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let lo = 1100 << depth;
+    distinct_pairs_of(lo..lo + 2000)
 }
 
 fn contents(idx: &dyn Index) -> Vec<(u64, u64)> {
@@ -187,11 +209,77 @@ proptest! {
                 Err(IndexError::DuplicateKey { key }),
                 "{}", name
             );
-            // Whatever was stored before the error, nothing twice.
+            // Whatever was stored before the error, nothing twice; CCEH
+            // finds the repeat before it stores anything.
             let stored = contents(idx.as_ref());
             let keys: BTreeSet<u64> = stored.iter().map(|(k, _)| *k).collect();
             prop_assert_eq!(keys.len(), stored.len(), "{} stored a key twice", name);
             prop_assert_eq!(idx.len(), stored.len(), "{}", name);
+            if name.starts_with("cceh") {
+                prop_assert_eq!(stored.len(), 0, "{} stored keys before the error", name);
+            }
         }
+    }
+
+    /// A CCEH load on top of earlier inserts, removes and the stale slots
+    /// their splits left behind leaves what one-at-a-time inserts leave.
+    #[test]
+    fn cceh_bulk_load_onto_a_split_index_leaves_what_inserts_leave(
+        (pairs, cut) in prefill_and_load(),
+        mode in prop_oneof![Just(Mode::Persistent), Just(Mode::Volatile)],
+    ) {
+        let arena = 16u64 << 20;
+        let build = || Cceh::new(Arc::new(PmRegion::new(arena as usize)), PmAddr(0), arena, mode, 0);
+        let (mut one, mut bulk) = (build().unwrap(), build().unwrap());
+        let mut model = BTreeMap::new();
+        for (i, &(k, v)) in pairs[..cut].iter().enumerate() {
+            let removed = i % 7 == 0;
+            for idx in [&mut one, &mut bulk] {
+                prop_assert_eq!(idx.insert(k, v), Ok(None));
+                if removed {
+                    prop_assert_eq!(idx.remove(k), Some(v));
+                }
+            }
+            if !removed {
+                model.insert(k, v);
+            }
+        }
+        prop_assert!(bulk.segment_count() > 1, "the prefill never split");
+        for &(k, v) in &pairs[cut..] {
+            prop_assert_eq!(one.insert(k, v), Ok(None));
+            model.insert(k, v);
+        }
+        prop_assert_eq!(bulk.bulk_load(&mut pairs[cut..].to_vec()), Ok(()));
+        let expect: Vec<(u64, u64)> = model.into_iter().collect();
+        prop_assert_eq!(bulk.len(), expect.len());
+        for &(k, v) in &expect {
+            prop_assert_eq!(bulk.get(k), Some(v), "key {}", k);
+        }
+        prop_assert_eq!(&contents(&bulk), &expect);
+        prop_assert_eq!(&contents(&one), &expect);
+    }
+
+    /// A load into a table too small for it: windows fill part-way through,
+    /// the full ones split, and every key after the first split goes the
+    /// insert path — still what one-at-a-time inserts leave.
+    #[test]
+    fn cceh_bulk_load_that_overflows_splits_like_inserts(
+        (depth, pairs) in (0u32..3).prop_flat_map(|depth| (Just(depth), overfull(depth))),
+    ) {
+        let arena = 16u64 << 20;
+        let build = || Cceh::new(Arc::new(PmRegion::new(arena as usize)), PmAddr(0), arena, Mode::Persistent, depth);
+        let (mut one, mut bulk) = (build().unwrap(), build().unwrap());
+        for &(k, v) in &pairs {
+            prop_assert_eq!(one.insert(k, v), Ok(None));
+        }
+        prop_assert_eq!(bulk.bulk_load(&mut pairs.clone()), Ok(()));
+        prop_assert!(bulk.segment_count() > 1 << depth, "the load never split");
+        let expect: Vec<(u64, u64)> = pairs.iter().copied().collect::<BTreeMap<_, _>>().into_iter().collect();
+        prop_assert_eq!(bulk.len(), expect.len());
+        for &(k, v) in &pairs {
+            prop_assert_eq!(bulk.get(k), Some(v), "key {}", k);
+        }
+        prop_assert_eq!(&contents(&bulk), &expect);
+        prop_assert_eq!(&contents(&one), &expect);
     }
 }
