@@ -9,6 +9,11 @@
 //!   store on `head`, so a producer that sees the freed slot via its
 //!   `Acquire` load may overwrite it.
 
+#![expect(
+    unsafe_code,
+    reason = "slot cells are accessed without a lock; the head/tail protocol above makes each access exclusive"
+)]
+
 use racecheck::sync::atomic::{AtomicUsize, Ordering};
 use racecheck::sync::RaceCell;
 use std::mem::MaybeUninit;

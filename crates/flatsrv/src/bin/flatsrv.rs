@@ -33,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: flatsrv [--listen ADDR:PORT]... [--unix PATH]... \
          [--pm-bytes N] [--ncores N] [--pipeline-depth N] \
-         [--index hash|masstree|fastfair] [--write-buf-limit N] \
+         [--index hash|masstree] [--write-buf-limit N] \
          [--max-conns N] [--quiet]"
     );
     std::process::exit(2)
@@ -68,7 +68,6 @@ fn parse_args() -> Args {
                 args.index = match val().as_str() {
                     "hash" => IndexKind::Hash,
                     "masstree" => IndexKind::Masstree,
-                    "fastfair" => IndexKind::FastFair,
                     _ => usage(),
                 }
             }

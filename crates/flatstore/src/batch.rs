@@ -1,5 +1,10 @@
 //! Horizontal-batching machinery and engine-shared state (paper §3.3).
 
+#![expect(
+    unsafe_code,
+    reason = "publish-list slots are accessed without a lock; the list's cursor atomics hand each slot to one side at a time"
+)]
+
 use racecheck::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use racecheck::sync::RaceCell;
 use std::collections::HashMap;

@@ -11,9 +11,6 @@ pub enum IndexKind {
     Hash,
     /// FlatStore-M: a single shared Masstree supporting range scans.
     Masstree,
-    /// FlatStore-FF: a single shared volatile FAST&FAIR (the paper's
-    /// ablation separating Masstree's contribution from the engine's).
-    FastFair,
 }
 
 /// Log-cleaning (GC) parameters (paper §3.4).
@@ -52,8 +49,8 @@ pub struct Config {
     /// Total simulated-PM size in bytes (superblock + chunk pool). Must be
     /// a multiple of 4 MB and at least `(ncores + 3) * 4 MB`.
     pub pm_bytes: usize,
-    /// DRAM arena for the volatile index (per core for `Hash`, total for
-    /// `FastFair`).
+    /// DRAM arena for each core's CCEH shard under `Hash` (Masstree
+    /// allocates its nodes on the heap).
     pub dram_bytes: usize,
     /// Number of server cores (worker threads).
     pub ncores: usize,

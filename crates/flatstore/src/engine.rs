@@ -65,6 +65,36 @@ impl Recovery {
 /// allows at most 60 cores.
 const LOG_BITS: u32 = 6;
 
+/// A shutdown snapshot's payload as little-endian words, consumed front
+/// to back. A count is checked against the words left before it is used.
+struct SnapshotWords<'a>(&'a [[u8; 8]]);
+
+impl<'a> SnapshotWords<'a> {
+    /// The next word.
+    fn word(&mut self) -> Result<u64, StoreError> {
+        let (word, rest) = self
+            .0
+            .split_first()
+            .ok_or_else(|| StoreError::BadImage("snapshot ends early".into()))?;
+        self.0 = rest;
+        Ok(u64::from_le_bytes(*word))
+    }
+
+    /// The next `n` records of `width` words each.
+    fn records(&mut self, n: u64, width: usize) -> Result<&'a [[u8; 8]], StoreError> {
+        let words = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(width))
+            .filter(|&words| words <= self.0.len())
+            .ok_or_else(|| {
+                StoreError::BadImage(format!("snapshot count {n} overruns its block"))
+            })?;
+        let (records, rest) = self.0.split_at(words);
+        self.0 = rest;
+        Ok(records)
+    }
+}
+
 /// Runs `f(i, item)` for every item on a thread of its own and returns
 /// the results in item order (recovery's per-core phases). A panic on a
 /// thread resumes on the caller's.
@@ -205,7 +235,7 @@ impl StoreHandle {
         })
     }
 
-    /// Range scan over `lo..hi`, at most `limit` items (FlatStore-M/-FF).
+    /// Range scan over `lo..hi`, at most `limit` items (FlatStore-M).
     /// Scans are weakly consistent under concurrent writes; quiesce with
     /// [`barrier`](Self::barrier) for a stable view.
     ///
@@ -355,29 +385,6 @@ impl FlatStore {
     /// [`StoreError::BadImage`] if the region is not a FlatStore image;
     /// [`StoreError::InvalidConfig`] on inconsistent settings.
     pub fn open(pm: Arc<PmRegion>, cfg: Config) -> Result<FlatStore, StoreError> {
-        Self::open_inner(pm, cfg, None)
-    }
-
-    /// Like [`open`](Self::open), with replication through `sink` (see
-    /// [`create_with_replication`](Self::create_with_replication)). Used
-    /// when a recovered or rejoining node resumes the primary role.
-    ///
-    /// # Errors
-    ///
-    /// As for [`open`](Self::open).
-    pub fn open_with_replication(
-        pm: Arc<PmRegion>,
-        cfg: Config,
-        sink: Arc<dyn ReplicationSink>,
-    ) -> Result<FlatStore, StoreError> {
-        Self::open_inner(pm, cfg, Some(sink))
-    }
-
-    fn open_inner(
-        pm: Arc<PmRegion>,
-        cfg: Config,
-        repl: Option<Arc<dyn ReplicationSink>>,
-    ) -> Result<FlatStore, StoreError> {
         let sb = Superblock::new(&pm);
         let (ncores, nchunks) = sb.load()?;
         let mut cfg = cfg;
@@ -415,10 +422,11 @@ impl FlatStore {
         // sized by what it found.
         let mut rec = Recovery::default();
         let snapshot_index = match sb.snapshot() {
-            Some((snap, _len)) if clean => {
+            Some((snap, len)) if clean => {
                 rec.path = 1;
-                let index =
-                    Self::load_snapshot(&pm, snap, &mgr, &cfg, &deleted, &usage, ncores, &mut rec)?;
+                let index = Self::load_snapshot(
+                    &pm, snap, len, &mgr, &cfg, &deleted, &usage, ncores, &mut rec,
+                )?;
                 Some(index)
             }
             Some(_) => {
@@ -477,7 +485,7 @@ impl FlatStore {
             alloc.adopt_recovered(ncores as u32);
             shards.push((log, alloc));
         }
-        Self::start(pm, mgr, index, deleted, usage, shards, cfg, repl, Some(rec))
+        Self::start(pm, mgr, index, deleted, usage, shards, cfg, None, Some(rec))
     }
 
     /// Path 3: rebuilds the volatile state from a full scan of every log,
@@ -635,12 +643,14 @@ impl FlatStore {
         Ok((logs, lanes.finish(shards)))
     }
 
-    /// Loads the snapshot anchored at `addr` into fresh volatile state,
-    /// then frees its block and clears the anchor. The per-core key
-    /// counts are read first; then each core's section loads on a lane of
-    /// its own (DESIGN.md §4), into an index built at the depth where that
-    /// core's keys bulk-load without a split. Snapshot keys are distinct by
-    /// construction.
+    /// Loads the `len`-byte snapshot anchored at `addr` into fresh
+    /// volatile state, then frees its block and clears the anchor. The
+    /// block is read with one `pm.read`, and every count in it is checked
+    /// against the words left before anything is allocated or loaded: a
+    /// short or corrupt payload is [`StoreError::BadImage`]. Then each
+    /// core's section loads on a lane of its own (DESIGN.md §4), into an
+    /// index built at the depth where that core's keys bulk-load without a
+    /// split. Snapshot keys are distinct by construction.
     #[expect(
         clippy::too_many_arguments,
         reason = "one private call site hands over the boot state the load fills"
@@ -648,6 +658,7 @@ impl FlatStore {
     fn load_snapshot(
         pm: &PmRegion,
         addr: PmAddr,
+        len: u64,
         mgr: &ChunkManager,
         cfg: &Config,
         deleted: &DeletedTable,
@@ -655,47 +666,58 @@ impl FlatStore {
         ncores: usize,
         rec: &mut Recovery,
     ) -> Result<VolatileIndex, StoreError> {
-        let read_u64 = |pos: &mut PmAddr| {
-            let v = pm.read_u64(*pos);
-            *pos += 8;
-            v
-        };
-        let mut pos = addr;
-        let snap_cores = read_u64(&mut pos) as usize;
-        if snap_cores != ncores {
+        let t = std::time::Instant::now();
+        let fits = addr
+            .offset()
+            .checked_add(len)
+            .is_some_and(|end| end <= pm.len() as u64);
+        if !fits {
+            return Err(StoreError::BadImage("snapshot extent".into()));
+        }
+        let mut payload = vec![0u8; len as usize];
+        pm.read(addr, &mut payload);
+        let read_ns = elapsed_ns(t);
+
+        // The layout `snapshot_payload` writes: the core count; per core
+        // n_idx, n_idx × (key, packed), n_del, n_del × (key, version,
+        // tombstone address); then n_usage × (chunk, total, dead).
+        let t = std::time::Instant::now();
+        let (words, rest) = payload.as_chunks::<8>();
+        if !rest.is_empty() {
+            return Err(StoreError::BadImage("snapshot length".into()));
+        }
+        let mut words = SnapshotWords(words);
+        if words.word()? != ncores as u64 {
             return Err(StoreError::BadImage("snapshot core count".into()));
         }
-        // Per core: n_idx, n_idx × (key, packed), n_del, n_del × (key,
-        // version, tombstone address).
-        let t = std::time::Instant::now();
         let mut sections = Vec::with_capacity(ncores);
         for _ in 0..ncores {
-            sections.push(pos);
-            let n_idx = read_u64(&mut pos);
-            pos += n_idx * 16;
-            let n_del = read_u64(&mut pos);
-            pos += n_del * 24;
+            let n_idx = words.word()?;
+            let pairs = words.records(n_idx, 2)?;
+            let n_del = words.word()?;
+            sections.push((pairs, words.records(n_del, 3)?));
+        }
+        let n_usage = words.word()?;
+        let usages = words.records(n_usage, 3)?;
+        if !words.0.is_empty() {
+            return Err(StoreError::BadImage("snapshot length".into()));
         }
         let lanes = LaneIndex::new(cfg.index, cfg.dram_bytes)?;
         let count_ns = elapsed_ns(t);
 
-        let loaded = on_threads(sections, |core, mut pos| {
+        let le = |w: &[u8; 8]| u64::from_le_bytes(*w);
+        let loaded = on_threads(sections, |core, (pairs, dels)| {
             let t = std::time::Instant::now();
-            let n_idx = read_u64(&mut pos) as usize;
-            let mut lane = lanes.lane(n_idx)?;
+            let mut lane = lanes.lane(pairs.len() / 2)?;
             let build_ns = elapsed_ns(t);
             let t = std::time::Instant::now();
-            let mut pairs = Vec::with_capacity(n_idx);
-            for _ in 0..n_idx {
-                let key = read_u64(&mut pos);
-                pairs.push((key, read_u64(&mut pos)));
-            }
+            let mut pairs: Vec<(u64, u64)> = pairs
+                .chunks_exact(2)
+                .map(|r| (le(&r[0]), le(&r[1])))
+                .collect();
             lane.load(core, &mut pairs)?;
-            let n_del = read_u64(&mut pos);
-            for _ in 0..n_del {
-                let key = read_u64(&mut pos);
-                let ver = read_u64(&mut pos) as u32;
-                let taddr = PmAddr(read_u64(&mut pos));
+            for r in dels.chunks_exact(3) {
+                let (key, ver, taddr) = (le(&r[0]), le(&r[1]) as u32, PmAddr(le(&r[2])));
                 deleted.insert(core_of(key, ncores), key, ver, taddr);
             }
             Ok::<_, StoreError>((lane.into_shard(), build_ns, elapsed_ns(t)))
@@ -711,14 +733,10 @@ impl FlatStore {
         rec.index_build_ns = count_ns + build_ns;
 
         let t = std::time::Instant::now();
-        let n_usage = read_u64(&mut pos);
-        for _ in 0..n_usage {
-            let chunk = read_u64(&mut pos);
-            let total = read_u64(&mut pos) as u32;
-            let dead = read_u64(&mut pos) as u32;
-            usage.restore(chunk, total, dead);
+        for r in usages.chunks_exact(3) {
+            usage.restore(le(&r[0]), le(&r[1]) as u32, le(&r[2]) as u32);
         }
-        rec.index_load_ns = load_ns + elapsed_ns(t);
+        rec.index_load_ns = read_ns + load_ns + elapsed_ns(t);
         // The snapshot block is consumed; free it and clear the anchor.
         let _ = mgr.free_block(addr);
         Superblock::new(pm).set_snapshot(PmAddr::NULL, 0);
@@ -1359,6 +1377,65 @@ mod tests {
         for i in 0..6_000 {
             let (k, v) = (key(i), store.get(key(i)).unwrap());
             assert!(v == Some(value_bytes(i, 1_000)), "key {k}");
+        }
+    }
+
+    /// A clean image whose snapshot lies about a count or its own length
+    /// opens as `BadImage`, without a panic and with nothing consumed:
+    /// once the word is restored, the image opens by path 1 with every
+    /// key.
+    #[test]
+    fn a_corrupt_snapshot_is_a_bad_image() {
+        let cfg = Config::builder()
+            .pm_bytes(64 << 20)
+            .dram_bytes(8 << 20)
+            .ncores(2)
+            .group_size(2)
+            .build()
+            .unwrap();
+        let store = FlatStore::create(cfg.clone()).unwrap();
+        pipelined_puts(&store, 0..500, |i| i, |i| value_bytes(i, 64));
+        assert!(store.delete(7).unwrap());
+        let pm = store.shutdown().unwrap();
+        let sb = Superblock::new(&pm);
+        let (addr, len) = sb.snapshot().unwrap();
+        // Core 0's section, then core 1's key count.
+        let n_idx0 = pm.read_u64(addr + 8);
+        let n_del0 = pm.read_u64(addr + 16 + n_idx0 * 16);
+        let n_idx1_at = addr + 24 + n_idx0 * 16 + n_del0 * 24;
+        let n_idx1 = pm.read_u64(n_idx1_at);
+        assert_eq!(n_idx0 + n_idx1, 499);
+
+        for (at, word) in [
+            (n_idx1_at, n_idx1 + 1),
+            (n_idx1_at, u64::MAX),
+            (addr + 8, 1 << 60),
+        ] {
+            pm.write_u64(at, word);
+            let opened = FlatStore::open(Arc::clone(&pm), cfg.clone());
+            assert!(
+                matches!(opened, Err(StoreError::BadImage(_))),
+                "count {word}"
+            );
+        }
+        pm.write_u64(addr + 8, n_idx0);
+        pm.write_u64(n_idx1_at, n_idx1);
+        for bad_len in [len - 8, len + 8, pm.len() as u64] {
+            sb.set_snapshot(addr, bad_len);
+            let opened = FlatStore::open(Arc::clone(&pm), cfg.clone());
+            assert!(
+                matches!(opened, Err(StoreError::BadImage(_))),
+                "length {bad_len}"
+            );
+        }
+        sb.set_snapshot(addr, len);
+
+        let store = FlatStore::open(pm, cfg).unwrap();
+        assert_eq!(store.recovery.map(|r| r.path), Some(1));
+        assert_eq!(store.len(), 499);
+        assert_eq!(store.get(7).unwrap(), None);
+        for i in (0..500).filter(|&i| i != 7) {
+            assert_eq!(store.get(i).unwrap(), Some(value_bytes(i, 64)), "key {i}");
         }
     }
 

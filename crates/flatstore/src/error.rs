@@ -28,7 +28,7 @@ pub enum StoreError {
     /// The persistent image is not a FlatStore region or is from an
     /// incompatible layout version.
     BadImage(String),
-    /// The requested operation needs an ordered index (FlatStore-M/-FF).
+    /// The requested operation needs an ordered index (FlatStore-M).
     RangeUnsupported,
     /// The ticket is not pending on this session (already harvested, or
     /// from another session).
@@ -108,7 +108,7 @@ impl fmt::Display for StoreError {
             StoreError::ShuttingDown => write!(f, "store is shutting down"),
             StoreError::BadImage(s) => write!(f, "bad persistent image: {s}"),
             StoreError::RangeUnsupported => {
-                write!(f, "range scans need FlatStore-M or FlatStore-FF")
+                write!(f, "range scans need FlatStore-M")
             }
             StoreError::UnknownTicket => write!(f, "ticket is not pending on this session"),
             StoreError::InvalidConfig(s) => write!(f, "invalid configuration: {s}"),

@@ -17,9 +17,8 @@
 //!   classes for values > 256 B; allocation bitmaps are never flushed on
 //!   the fast path and are reconstructed from the log on recovery.
 //! * **Volatile index** — pluggable: per-core CCEH hash
-//!   ([`IndexKind::Hash`], FlatStore-H), a shared Masstree
-//!   ([`IndexKind::Masstree`], FlatStore-M) or a volatile FAST&FAIR
-//!   ([`IndexKind::FastFair`], FlatStore-FF).
+//!   ([`IndexKind::Hash`], FlatStore-H) or a shared Masstree
+//!   ([`IndexKind::Masstree`], FlatStore-M).
 //! * **FlatRPC fabric** ([`flatrpc`]) — per-core per-client shared-memory
 //!   request rings (§4.3); each core answers on its own per-client
 //!   response ring, with no agent-core hop.

@@ -41,7 +41,7 @@ pub enum Op {
         /// The key.
         key: u64,
     },
-    /// Range scan over `lo..hi`, at most `limit` items (FlatStore-M/-FF
+    /// Range scan over `lo..hi`, at most `limit` items (FlatStore-M
     /// only; FlatStore-H completes with
     /// [`StoreError::RangeUnsupported`]).
     Range {
@@ -61,18 +61,6 @@ impl Op {
         Op::Put {
             key,
             value: value.as_ref().to_vec(),
-        }
-    }
-
-    /// The key this operation routes by: the touched key for point ops,
-    /// the inclusive lower bound for range scans. Cluster routers use
-    /// this the way the engine's internal `home_core` shards cores — one
-    /// routing rule for every verb (a Range additionally fans out across
-    /// groups; its routing key only picks the coordinator).
-    pub fn routing_key(&self) -> u64 {
-        match self {
-            Op::Put { key, .. } | Op::Get { key } | Op::Delete { key } => *key,
-            Op::Range { lo, .. } => *lo,
         }
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use indexes::{Cceh, FastFair, Index, IndexError, Mode, OrderedIndex};
+use indexes::{Cceh, Index, IndexError, Mode};
 use masstree::Masstree;
 use parking_lot::Mutex;
 use pmem::{PmAddr, PmRegion};
@@ -18,13 +18,9 @@ use crate::error::StoreError;
 ///   mutexes are uncontended (they exist to satisfy the borrow checker, not
 ///   the paper's design, which has no locks here either).
 /// * `SharedMasstree` — FlatStore-M: one concurrent Masstree.
-/// * `SharedTree` — FlatStore-FF: one volatile FAST&FAIR behind a lock
-///   (the original shares a single instance between cores; its internal
-///   fine-grained locking is approximated by a structure-wide lock).
 pub(crate) enum VolatileIndex {
     PerCoreHash(Vec<Mutex<Cceh>>),
     SharedMasstree(Masstree),
-    SharedTree(Mutex<FastFair>),
 }
 
 impl VolatileIndex {
@@ -43,7 +39,6 @@ impl VolatileIndex {
         match self {
             VolatileIndex::PerCoreHash(shards) => Ok(shards[core].lock().insert(key, value)?),
             VolatileIndex::SharedMasstree(t) => Ok(t.insert(key, value)),
-            VolatileIndex::SharedTree(t) => Ok(t.lock().insert(key, value)?),
         }
     }
 
@@ -60,7 +55,6 @@ impl VolatileIndex {
                 }
                 Ok(())
             }
-            VolatileIndex::SharedTree(t) => Ok(t.lock().bulk_load(pairs)?),
         }
     }
 
@@ -68,7 +62,6 @@ impl VolatileIndex {
         match self {
             VolatileIndex::PerCoreHash(shards) => shards[core].lock().get(key),
             VolatileIndex::SharedMasstree(t) => t.get(key),
-            VolatileIndex::SharedTree(t) => t.lock().get(key),
         }
     }
 
@@ -76,7 +69,6 @@ impl VolatileIndex {
         match self {
             VolatileIndex::PerCoreHash(shards) => shards[core].lock().remove(key),
             VolatileIndex::SharedMasstree(t) => t.remove(key),
-            VolatileIndex::SharedTree(t) => t.lock().remove(key),
         }
     }
 
@@ -85,7 +77,6 @@ impl VolatileIndex {
         match self {
             VolatileIndex::PerCoreHash(shards) => shards[core].lock().cas(key, old, new),
             VolatileIndex::SharedMasstree(t) => t.cas(key, old, new),
-            VolatileIndex::SharedTree(t) => t.lock().cas(key, old, new),
         }
     }
 
@@ -102,10 +93,6 @@ impl VolatileIndex {
                 t.range(lo, hi, f);
                 Ok(())
             }
-            VolatileIndex::SharedTree(t) => {
-                t.lock().range(lo, hi, f);
-                Ok(())
-            }
         }
     }
 
@@ -114,7 +101,6 @@ impl VolatileIndex {
         match self {
             VolatileIndex::PerCoreHash(shards) => shards.iter().map(|s| s.lock().len()).sum(),
             VolatileIndex::SharedMasstree(t) => t.len(),
-            VolatileIndex::SharedTree(t) => t.lock().len(),
         }
     }
 
@@ -133,11 +119,6 @@ impl VolatileIndex {
                     });
                 }
             }
-            VolatileIndex::SharedTree(t) => {
-                if core == 0 {
-                    t.lock().for_each(f);
-                }
-            }
         }
     }
 }
@@ -145,14 +126,14 @@ impl VolatileIndex {
 /// The index recovery builds on per-core lanes (DESIGN.md §4). Under
 /// FlatStore-H each lane builds its own core's CCEH shard, at the depth
 /// where that core's keys bulk-load without a split, and loads it; under
-/// FlatStore-M and -FF every lane loads the one shared index.
+/// FlatStore-M every lane loads the one shared Masstree.
 ///
 /// The arenas are plain DRAM ([`PmRegion::dram_arena`]): committed on
 /// first touch and free of the PM bookkeeping a volatile index never
 /// reads. `Mode::Volatile` elides every flush.
 pub(crate) struct LaneIndex {
     dram_bytes: usize,
-    /// The FlatStore-M/-FF index; `None` under FlatStore-H.
+    /// The FlatStore-M index; `None` under FlatStore-H.
     shared: Option<VolatileIndex>,
 }
 
@@ -160,7 +141,7 @@ pub(crate) struct LaneIndex {
 pub(crate) enum Lane<'a> {
     /// FlatStore-H: the lane's own core's shard.
     Own(Cceh),
-    /// FlatStore-M and -FF: the index every lane loads.
+    /// FlatStore-M: the index every lane loads.
     Shared(&'a VolatileIndex),
 }
 
@@ -169,12 +150,6 @@ impl LaneIndex {
         let shared = match kind {
             IndexKind::Hash => None,
             IndexKind::Masstree => Some(VolatileIndex::SharedMasstree(Masstree::new())),
-            IndexKind::FastFair => Some(VolatileIndex::SharedTree(Mutex::new(FastFair::new(
-                Arc::new(PmRegion::dram_arena(dram_bytes)),
-                PmAddr(0),
-                dram_bytes as u64,
-                Mode::Volatile,
-            )?))),
         };
         Ok(LaneIndex { dram_bytes, shared })
     }

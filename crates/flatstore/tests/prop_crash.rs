@@ -411,7 +411,7 @@ fn cross_log_newest_wins_on_every_index() {
         model
     }
 
-    for index in [IndexKind::Hash, IndexKind::Masstree, IndexKind::FastFair] {
+    for index in [IndexKind::Hash, IndexKind::Masstree] {
         for group in [2, CORES] {
             let at = format!("{index:?}, groups of {group}");
             let cfg = Config::builder()

@@ -4,16 +4,12 @@
 //! volatile index. Masstree is a trie of B+-trees keyed by 8-byte slices;
 //! for the paper's fixed 8-byte keys the trie has exactly one layer, so the
 //! structure degenerates to a single concurrent B+-tree — which is what this
-//! crate implements. The synchronization uses per-node reader/writer locks
-//! with hand-over-hand coupling and *preemptive splits* (a full child is
-//! split while its parent is still locked, so splits never propagate
+//! crate implements. The synchronization uses per-node `std` reader/writer
+//! locks with hand-over-hand coupling and *preemptive splits* (a full child
+//! is split while its parent is still locked, so splits never propagate
 //! upwards), a simplification of Masstree's version-validation protocol that
 //! preserves its interface and linearizability, if not its lock-freedom on
 //! reads.
-//!
-//! The full trie-of-layers shape for **variable-length byte-string keys**
-//! is provided by [`MassBytes`] (the "larger keys" extension the FlatStore
-//! paper sketches in §3.2).
 //!
 //! [Masstree]: https://dl.acm.org/doi/10.1145/2168836.2168855
 //!
@@ -32,21 +28,13 @@
 //! assert_eq!(keys, vec![7, 10]);
 //! ```
 
-mod bytes;
-
-pub use bytes::MassBytes;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Per-node fanout: a full node holds this many keys.
 const FANOUT: usize = 32;
 
 type NodeRef = Arc<RwLock<Node>>;
-type ReadGuard = ArcRwLockReadGuard<RawRwLock, Node>;
-type WriteGuard = ArcRwLockWriteGuard<RawRwLock, Node>;
 
 #[derive(Debug)]
 enum Node {
@@ -69,7 +57,9 @@ impl Node {
         }
     }
 
-    /// Splits a full node, returning `(separator, right_sibling)`.
+    /// Splits a full node, returning `(separator, right_sibling)`. The
+    /// upper half moves into the new right sibling, which a leaf links in
+    /// right after itself.
     fn split(&mut self) -> (u64, NodeRef) {
         match self {
             Node::Leaf { keys, vals, next } => {
@@ -101,11 +91,74 @@ impl Node {
     }
 }
 
+// Locks never poison. A node is write-locked only by this crate's own
+// code, which calls out to none and cannot panic part-way through an
+// update (allocation failure aborts), so a node a panicking thread held
+// is still consistent.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Descends from the read-locked `node` to `key`'s leaf hand over hand —
+/// each child is locked before its parent is released — and runs
+/// `at_leaf` on the leaf's keys, values and successor. Each level is one
+/// stack frame, which owns the child `Arc` its guard borrows.
+fn read_leaf<R>(
+    node: RwLockReadGuard<'_, Node>,
+    key: u64,
+    at_leaf: impl FnOnce(&[u64], &[u64], &Option<NodeRef>) -> R,
+) -> R {
+    let child = match &*node {
+        Node::Leaf { keys, vals, next } => return at_leaf(keys, vals, next),
+        Node::Inner { keys, children } => {
+            Arc::clone(&children[keys.partition_point(|&k| key >= k)])
+        }
+    };
+    let guard = read(&child);
+    drop(node);
+    read_leaf(guard, key, at_leaf)
+}
+
+/// Descends from the write-locked, non-full `node` to `key`'s leaf hand
+/// over hand and runs `at_leaf` on the leaf's keys and values. A full
+/// child is split before the descent enters it, while its parent is
+/// still locked (a *preemptive split*), so a split never climbs back up.
+fn write_leaf<R>(
+    mut node: RwLockWriteGuard<'_, Node>,
+    key: u64,
+    at_leaf: impl FnOnce(&mut Vec<u64>, &mut Vec<u64>) -> R,
+) -> R {
+    let (keys, children) = match &mut *node {
+        Node::Leaf { keys, vals, .. } => return at_leaf(keys, vals),
+        Node::Inner { keys, children } => (keys, children),
+    };
+    let idx = keys.partition_point(|&k| key >= k);
+    let child = Arc::clone(&children[idx]);
+    let mut guard = write(&child);
+    if guard.is_full() {
+        let (sep, right) = guard.split();
+        keys.insert(idx, sep);
+        children.insert(idx + 1, Arc::clone(&right));
+        if key >= sep {
+            drop(guard);
+            let guard = write(&right);
+            drop(node);
+            return write_leaf(guard, key, at_leaf);
+        }
+    }
+    drop(node);
+    write_leaf(guard, key, at_leaf)
+}
+
 /// The concurrent ordered index. All operations take `&self`; the structure
 /// is `Send + Sync` and is shared by all of FlatStore's server cores.
 pub struct Masstree {
     /// Lock order everywhere: the root holder before any node, parents
-    /// before children, leaves left before right — hence no deadlock.
+    /// before children. A range scan holds one leaf at a time.
     root: RwLock<NodeRef>,
     len: AtomicUsize,
 }
@@ -147,27 +200,27 @@ impl Masstree {
         self.len() == 0
     }
 
-    /// Write-locks the root node, growing the tree first if the root is
-    /// full, so descents below never have to split upwards.
+    /// Runs `f` on the write-locked root node, growing the tree first if
+    /// the root is full, so descents below never have to split upwards.
     ///
-    /// Replacing the root requires both the holder write lock *and* the old
-    /// root's write lock, so a guard returned here stays the true root for
-    /// its lifetime.
-    fn lock_root_write(&self) -> WriteGuard {
+    /// The holder stays read-locked until the root node is locked, and
+    /// replacing the root takes both the holder's write lock and the old
+    /// root's, so the node `f` gets stays the true root while `f` runs.
+    fn with_root_write<R>(&self, f: impl FnOnce(RwLockWriteGuard<'_, Node>) -> R) -> R {
         loop {
             {
-                let holder = self.root.read();
+                let holder = read(&self.root);
                 let root = Arc::clone(&holder);
-                let guard = root.write_arc();
+                let guard = write(&root);
                 drop(holder);
                 if !guard.is_full() {
-                    return guard;
+                    return f(guard);
                 }
             }
             // Grow the tree.
-            let mut holder = self.root.write();
+            let mut holder = write(&self.root);
             let root = Arc::clone(&holder);
-            let mut guard = root.write_arc();
+            let mut guard = write(&root);
             if guard.is_full() {
                 let (sep, right) = guard.split();
                 drop(guard);
@@ -179,158 +232,103 @@ impl Masstree {
         }
     }
 
-    /// Read-locks the current root node (same holder-then-node order).
-    fn lock_root_read(&self) -> ReadGuard {
-        let holder = self.root.read();
+    /// Runs `f` on the read-locked root node (same holder-then-node order).
+    fn with_root_read<R>(&self, f: impl FnOnce(RwLockReadGuard<'_, Node>) -> R) -> R {
+        let holder = read(&self.root);
         let root = Arc::clone(&holder);
-        let guard = root.read_arc();
+        let guard = read(&root);
         drop(holder);
-        guard
+        f(guard)
     }
 
     /// Inserts or updates `key`, returning the previous value if any.
     pub fn insert(&self, key: u64, value: u64) -> Option<u64> {
-        let mut guard = self.lock_root_write();
-        loop {
-            // Invariant: `guard` is write-locked and not full.
-            match &mut *guard {
-                Node::Leaf { keys, vals, .. } => {
-                    let idx = keys.partition_point(|&k| k < key);
-                    if idx < keys.len() && keys[idx] == key {
-                        let old = vals[idx];
-                        vals[idx] = value;
-                        return Some(old);
-                    }
-                    keys.insert(idx, key);
-                    vals.insert(idx, value);
+        self.with_root_write(|root| {
+            write_leaf(root, key, |keys, vals| match keys.binary_search(&key) {
+                Ok(i) => Some(std::mem::replace(&mut vals[i], value)),
+                Err(i) => {
+                    keys.insert(i, key);
+                    vals.insert(i, value);
                     self.len.fetch_add(1, Ordering::Relaxed);
-                    return None;
+                    None
                 }
-                Node::Inner { keys, children } => {
-                    let mut idx = keys.partition_point(|&k| key >= k);
-                    let child = Arc::clone(&children[idx]);
-                    let mut cguard = child.write_arc();
-                    if cguard.is_full() {
-                        // Preemptive split: parent (held) gains the
-                        // separator; pick the correct half.
-                        let (sep, right) = cguard.split();
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        if key >= sep {
-                            idx += 1;
-                            drop(cguard);
-                            let child = Arc::clone(&children[idx]);
-                            cguard = child.write_arc();
-                        }
-                    }
-                    guard = cguard;
-                }
-            }
-        }
+            })
+        })
     }
 
     /// Looks up `key`.
     pub fn get(&self, key: u64) -> Option<u64> {
-        let mut guard = self.lock_root_read();
-        loop {
-            match &*guard {
-                Node::Leaf { keys, vals, .. } => {
-                    let idx = keys.partition_point(|&k| k < key);
-                    return (idx < keys.len() && keys[idx] == key).then(|| vals[idx]);
-                }
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|&k| key >= k);
-                    let child = Arc::clone(&children[idx]);
-                    guard = child.read_arc();
-                }
-            }
-        }
+        self.with_root_read(|root| {
+            read_leaf(root, key, |keys, vals, _| {
+                keys.binary_search(&key).ok().map(|i| vals[i])
+            })
+        })
     }
 
     /// Removes `key`, returning its value if present. Leaves are not
     /// rebalanced (deletion-heavy workloads are outside the paper's
     /// evaluation; the tree stays correct, merely sparser).
     pub fn remove(&self, key: u64) -> Option<u64> {
-        let mut guard = self.lock_root_write();
-        loop {
-            match &mut *guard {
-                Node::Leaf { keys, vals, .. } => {
-                    let idx = keys.partition_point(|&k| k < key);
-                    if idx < keys.len() && keys[idx] == key {
-                        keys.remove(idx);
-                        let old = vals.remove(idx);
-                        self.len.fetch_sub(1, Ordering::Relaxed);
-                        return Some(old);
-                    }
-                    return None;
-                }
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|&k| key >= k);
-                    let child = Arc::clone(&children[idx]);
-                    guard = child.write_arc();
-                }
-            }
-        }
+        self.with_root_write(|root| {
+            write_leaf(root, key, |keys, vals| {
+                let i = keys.binary_search(&key).ok()?;
+                keys.remove(i);
+                self.len.fetch_sub(1, Ordering::Relaxed);
+                Some(vals.remove(i))
+            })
+        })
     }
 
     /// Atomically replaces `key`'s value with `new` iff it currently equals
     /// `old` — the log cleaner's pointer-update primitive (paper §3.4).
     /// Returns whether the swap happened.
     pub fn cas(&self, key: u64, old: u64, new: u64) -> bool {
-        let mut guard = self.lock_root_write();
-        loop {
-            match &mut *guard {
-                Node::Leaf { keys, vals, .. } => {
-                    let idx = keys.partition_point(|&k| k < key);
-                    if idx < keys.len() && keys[idx] == key && vals[idx] == old {
-                        vals[idx] = new;
-                        return true;
-                    }
-                    return false;
+        self.with_root_write(|root| {
+            write_leaf(root, key, |keys, vals| match keys.binary_search(&key) {
+                Ok(i) if vals[i] == old => {
+                    vals[i] = new;
+                    true
                 }
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|&k| key >= k);
-                    let child = Arc::clone(&children[idx]);
-                    guard = child.write_arc();
-                }
-            }
-        }
+                _ => false,
+            })
+        })
     }
 
     /// Visits `(key, value)` pairs with `lo <= key < hi` in ascending order
-    /// until `f` returns `false`, using hand-over-hand read locks along the
-    /// leaf chain.
+    /// until `f` returns `false`.
+    ///
+    /// The scan descends to `lo`'s leaf, then walks the leaf chain holding
+    /// one leaf at a time: it reads the leaf, takes its `next`, unlocks it
+    /// and only then locks `next`. A key present for the whole scan is
+    /// still visited exactly once, in order, because a split moves keys
+    /// only rightward, into a sibling linked right after the split leaf,
+    /// and leaves are never unlinked (remove does not merge). A leaf that
+    /// splits after the scan read it hands the scan its old `next`, past
+    /// the keys it already visited; one that split before holds none of
+    /// them. Keys inserted or removed during the scan may or may not be
+    /// seen.
     pub fn range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64) -> bool) {
-        let mut guard = self.lock_root_read();
-        loop {
-            match &*guard {
-                Node::Leaf { .. } => break,
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|&k| lo >= k);
-                    let child = Arc::clone(&children[idx]);
-                    guard = child.read_arc();
+        // Visits one leaf; returns the leaf to read next, if the scan goes on.
+        let mut visit = |keys: &[u64], vals: &[u64], next: &Option<NodeRef>| {
+            for (&k, &v) in keys.iter().zip(vals) {
+                if k >= hi || (k >= lo && !f(k, v)) {
+                    return None;
                 }
             }
-        }
-        loop {
-            let next = match &*guard {
-                Node::Leaf { keys, vals, next } => {
-                    for (i, &k) in keys.iter().enumerate() {
-                        if k >= hi {
-                            return;
-                        }
-                        if k >= lo && !f(k, vals[i]) {
-                            return;
-                        }
-                    }
-                    next.clone()
-                }
-                Node::Inner { .. } => unreachable!("leaf chain holds only leaves"),
+            next.clone()
+        };
+        let mut next = self.with_root_read(|root| read_leaf(root, lo, &mut visit));
+        while let Some(leaf) = next {
+            let guard = read(&leaf);
+            let Node::Leaf {
+                keys,
+                vals,
+                next: after,
+            } = &*guard
+            else {
+                unreachable!("leaf chain holds only leaves")
             };
-            match next {
-                Some(n) => guard = n.read_arc(),
-                None => return,
-            }
+            next = visit(keys, vals, after);
         }
     }
 }
@@ -460,38 +458,72 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_workload_with_scans() {
-        let t = Arc::new(Masstree::new());
-        for k in 0..2000u64 {
-            t.insert(k, 0);
+        // The even keys are present throughout. The mixers insert the odd
+        // keys, splitting leaves under the scanners, whose full scans must
+        // each report every even key exactly once, strictly ascending.
+        const EVENS: u64 = 50_000;
+        let t = Masstree::new();
+        for k in 0..EVENS {
+            t.insert(2 * k, 0);
         }
-        let mut handles = Vec::new();
-        for tid in 0..4u64 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2000u64 {
-                    match i % 4 {
-                        0 => {
-                            t.insert(i, tid);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let scans = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| loop {
+                    let stop = done.load(Ordering::Acquire);
+                    let mut evens = 0;
+                    let mut prev = None;
+                    t.range(0, u64::MAX, &mut |k, _| {
+                        assert!(prev < Some(k), "scan visited {k} after {prev:?}");
+                        prev = Some(k);
+                        if k % 2 == 0 {
+                            assert_eq!(k, 2 * evens, "scan skipped an even key");
+                            evens += 1;
                         }
-                        1 => {
-                            t.get(i);
-                        }
-                        2 => {
-                            let mut n = 0;
-                            t.range(i, i + 50, &mut |_, _| {
-                                n += 1;
-                                n < 20
-                            });
-                        }
-                        _ => {
-                            t.cas(i, tid, tid + 1);
-                        }
+                        true
+                    });
+                    assert_eq!(evens, EVENS);
+                    scans.fetch_add(1, Ordering::Relaxed);
+                    if stop {
+                        return;
                     }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+            let mixers: Vec<_> = (0..4u64)
+                .map(|tid| {
+                    let t = &t;
+                    s.spawn(move || {
+                        for i in 0..EVENS {
+                            let odd = 2 * i + 1;
+                            match (i + tid) % 4 {
+                                0 => {
+                                    assert_eq!(t.insert(odd, tid), None);
+                                }
+                                1 => {
+                                    t.get(odd);
+                                }
+                                2 => {
+                                    let mut n = 0;
+                                    t.range(odd, odd + 50, &mut |_, _| {
+                                        n += 1;
+                                        n < 20
+                                    });
+                                }
+                                _ => {
+                                    t.cas(2 * i, tid, tid + 1);
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for m in mixers {
+                m.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(t.len(), 2 * EVENS as usize);
+        assert!(scans.load(Ordering::Relaxed) >= 2);
     }
 }

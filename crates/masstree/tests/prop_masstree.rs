@@ -64,67 +64,3 @@ proptest! {
         }
     }
 }
-
-mod bytes_props {
-    use std::collections::BTreeMap;
-
-    use masstree::MassBytes;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert(Vec<u8>, u64),
-        Remove(Vec<u8>),
-        Get(Vec<u8>),
-    }
-
-    fn keys() -> impl Strategy<Value = Vec<u8>> {
-        // Short alphabet + bounded length maximizes prefix collisions,
-        // which is where trie layering can go wrong.
-        prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(0u8)], 0..20)
-    }
-
-    fn ops() -> impl Strategy<Value = Vec<Op>> {
-        prop::collection::vec(
-            prop_oneof![
-                (keys(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-                keys().prop_map(Op::Remove),
-                keys().prop_map(Op::Get),
-            ],
-            1..300,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-
-        #[test]
-        fn massbytes_matches_btreemap(script in ops()) {
-            let t = MassBytes::new();
-            let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-            for op in &script {
-                match op {
-                    Op::Insert(k, v) => {
-                        prop_assert_eq!(t.insert(k, *v), model.insert(k.clone(), *v));
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(t.remove(k), model.remove(k));
-                    }
-                    Op::Get(k) => {
-                        prop_assert_eq!(t.get(k), model.get(k).copied());
-                    }
-                }
-                prop_assert_eq!(t.len(), model.len());
-            }
-            // Full ordered iteration equals the model's.
-            let mut got: Vec<(Vec<u8>, u64)> = Vec::new();
-            t.for_each_ordered(&mut |k, v| {
-                got.push((k.to_vec(), v));
-                true
-            });
-            let expect: Vec<(Vec<u8>, u64)> =
-                model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            prop_assert_eq!(got, expect);
-        }
-    }
-}

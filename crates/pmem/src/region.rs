@@ -1,5 +1,10 @@
 //! The simulated persistent-memory region.
 
+#![expect(
+    unsafe_code,
+    reason = "the simulated PM is one raw 64 B-aligned allocation, read and written by offset after a bounds check"
+)]
+
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

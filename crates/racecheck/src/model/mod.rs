@@ -17,6 +17,11 @@
 //! other thread is blocked or finished, which keeps the schedule tree
 //! small and makes bounded retries sufficient.
 
+#![expect(
+    unsafe_code,
+    reason = "the model's Mutex and RaceCell hand out references into UnsafeCells; the scheduler runs one model thread at a time"
+)]
+
 mod exec;
 mod explore;
 

@@ -38,6 +38,10 @@ pub struct RaceCell<T> {
 }
 
 #[cfg(not(racecheck))]
+#[expect(
+    unsafe_code,
+    reason = "a bare UnsafeCell whose callers assert the access discipline"
+)]
 impl<T> RaceCell<T> {
     pub fn new(value: T) -> RaceCell<T> {
         RaceCell {

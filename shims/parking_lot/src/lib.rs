@@ -1,25 +1,17 @@
 //! Local, std-only stand-in for the `parking_lot` crate.
 //!
-//! The build environment has no access to crates.io, so the workspace
-//! vendors the API surface it uses: a non-poisoning [`Mutex`] (a thin
-//! wrapper over `std::sync::Mutex`) and an [`RwLock`] implemented from
-//! scratch so that its `read_arc`/`write_arc` guards can *own* the
-//! `Arc<RwLock<T>>` they lock — the `arc_lock` feature of the real crate,
-//! which `masstree`'s lock-coupling traversal depends on.
+//! The workspace builds with no registry access, so it vendors the API
+//! surface it uses: a non-poisoning [`Mutex`], a thin wrapper over
+//! `std::sync::Mutex`.
 //!
 //! Semantics intentionally kept from parking_lot:
 //! * locks never poison — a panic while holding a guard just unlocks;
-//! * `try_lock` returns `Option` rather than a `Result`;
-//! * guards are `Send`-free by default (we never send them).
+//! * `try_lock` returns `Option` rather than a `Result`.
 //!
-//! Fairness is best-effort (writers wait for readers to drain but can be
-//! starved by a continuous reader stream); the workspace holds every lock
-//! for short critical sections, so this does not matter in practice.
+//! The persistence crates deny `unwrap`/`expect` outside tests, so this
+//! veneer is where their lock sites' poisoning policy is written once.
 
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, TryLockError};
+use std::sync::{Mutex as StdMutex, TryLockError};
 
 /// A non-poisoning mutual-exclusion lock.
 #[derive(Debug, Default)]
@@ -62,216 +54,9 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// Marker type standing in for `parking_lot::RawRwLock` so type aliases
-/// like `ArcRwLockReadGuard<RawRwLock, T>` compile unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RawRwLock;
-
-#[derive(Debug, Default)]
-struct RwState {
-    readers: usize,
-    writer: bool,
-}
-
-/// A readers-writer lock whose Arc-based guards own the lock they hold.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    state: StdMutex<RwState>,
-    readers_done: Condvar,
-    writer_done: Condvar,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: same bounds as std/parking_lot — moving the lock moves the value
-// (needs T: Send).
-unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
-// SAFETY: the lock hands out &T from many threads (needs T: Sync) and
-// &mut T via exclusive write acquisition (needs T: Send).
-unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            state: StdMutex::new(RwState::default()),
-            readers_done: Condvar::new(),
-            writer_done: Condvar::new(),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    fn acquire_read(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while s.writer {
-            s = self.writer_done.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.readers += 1;
-    }
-
-    fn release_read(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.readers -= 1;
-        if s.readers == 0 {
-            self.readers_done.notify_all();
-        }
-    }
-
-    fn acquire_write(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while s.writer {
-            s = self.writer_done.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.writer = true;
-        while s.readers > 0 {
-            s = self.readers_done.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn release_write(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.writer = false;
-        self.writer_done.notify_all();
-    }
-
-    /// Shared access; blocks while a writer holds the lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.acquire_read();
-        RwLockReadGuard { lock: self }
-    }
-
-    /// Exclusive access; blocks until all readers and writers are out.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.acquire_write();
-        RwLockWriteGuard { lock: self }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    /// Shared access through an `Arc`, with a guard that owns the `Arc`
-    /// (parking_lot's `arc_lock` feature).
-    pub fn read_arc(self: &Arc<Self>) -> ArcRwLockReadGuard<RawRwLock, T> {
-        self.acquire_read();
-        ArcRwLockReadGuard {
-            lock: Arc::clone(self),
-            _raw: PhantomData,
-        }
-    }
-
-    /// Exclusive access through an `Arc`, with a guard that owns the `Arc`.
-    pub fn write_arc(self: &Arc<Self>) -> ArcRwLockWriteGuard<RawRwLock, T> {
-        self.acquire_write();
-        ArcRwLockWriteGuard {
-            lock: Arc::clone(self),
-            _raw: PhantomData,
-        }
-    }
-}
-
-/// Borrowing shared guard.
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: read guards exist only while `writer == false`.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.release_read();
-    }
-}
-
-/// Borrowing exclusive guard.
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the write guard holds exclusive access.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the write guard holds exclusive access.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.release_write();
-    }
-}
-
-/// Owning shared guard: keeps the `Arc<RwLock<T>>` alive while held.
-/// The `R` parameter exists only for signature compatibility with
-/// parking_lot's `ArcRwLockReadGuard<RawRwLock, T>`.
-pub struct ArcRwLockReadGuard<R, T: ?Sized> {
-    lock: Arc<RwLock<T>>,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T: ?Sized> Deref for ArcRwLockReadGuard<R, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: read guards exist only while `writer == false`.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<R, T: ?Sized> Drop for ArcRwLockReadGuard<R, T> {
-    fn drop(&mut self) {
-        self.lock.release_read();
-    }
-}
-
-/// Owning exclusive guard: keeps the `Arc<RwLock<T>>` alive while held.
-pub struct ArcRwLockWriteGuard<R, T: ?Sized> {
-    lock: Arc<RwLock<T>>,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T: ?Sized> Deref for ArcRwLockWriteGuard<R, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the write guard holds exclusive access.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<R, T: ?Sized> DerefMut for ArcRwLockWriteGuard<R, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the write guard holds exclusive access.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<R, T: ?Sized> Drop for ArcRwLockWriteGuard<R, T> {
-    fn drop(&mut self) {
-        self.lock.release_write();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn mutex_basic_and_try_lock() {
@@ -282,51 +67,5 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = Arc::new(RwLock::new(0u64));
-        let hits = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let l = Arc::clone(&l);
-                let hits = Arc::clone(&hits);
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        let g = l.read();
-                        assert!((*g).is_multiple_of(2), "observed a torn write");
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let l = Arc::clone(&l);
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        let mut g = l.write();
-                        *g += 1; // transiently odd…
-                        *g += 1; // …but even again before release
-                    }
-                });
-            }
-        });
-        assert_eq!(*l.read(), 2000);
-        assert_eq!(hits.load(Ordering::Relaxed), 4000);
-    }
-
-    #[test]
-    fn arc_guards_keep_lock_alive() {
-        let l = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let g = l.read_arc();
-        drop(l); // guard keeps the lock alive
-        assert_eq!(g.len(), 3);
-        drop(g);
-
-        let l = Arc::new(RwLock::new(5u32));
-        let mut w = l.write_arc();
-        *w = 7;
-        drop(w);
-        assert_eq!(*l.read_arc(), 7);
     }
 }
